@@ -40,8 +40,8 @@ class ExecStats {
   }
 
   /// Adds the accumulated I/O statistics into the counters (idempotent:
-  /// uses and clears the pending I/O record) and mirrors the same delta
-  /// into the process-wide metrics registry.
+  /// uses and clears the pending I/O record) and mirrors the counters'
+  /// growth into the process-wide metrics registry.
   void FoldIo() {
     counters_.io_bytes_read += io_.bytes_read;
     counters_.io_requests += io_.requests;
@@ -49,10 +49,8 @@ class ExecStats {
     counters_.io_bytes_from_cache += io_.bytes_from_cache;
     counters_.io_cache_hits += io_.cache_hits;
     counters_.io_cache_misses += io_.cache_misses;
-    MirrorIoToRegistry(io_);
     io_ = IoStats{};
-    MirrorVectorizedToRegistry();
-    MirrorPruningToRegistry();
+    MirrorToRegistry();
   }
 
   /// Memory-pattern helpers (see DESIGN.md substitution #2). A scanner
@@ -68,84 +66,29 @@ class ExecStats {
   }
 
  private:
-  /// Because FoldIo consumes-and-clears the pending record, mirroring the
-  /// record right before the clear publishes each delta exactly once.
-  static void MirrorIoToRegistry(const IoStats& io) {
-    auto& reg = obs::MetricsRegistry::Default();
-    static obs::Counter* bytes = reg.GetCounter("rodb.io.backend_bytes");
-    static obs::Counter* requests = reg.GetCounter("rodb.io.requests");
-    static obs::Counter* files = reg.GetCounter("rodb.io.files_opened");
-    static obs::Counter* cache_bytes = reg.GetCounter("rodb.io.cache_bytes");
-    static obs::Counter* cache_hits = reg.GetCounter("rodb.io.cache_hits");
-    static obs::Counter* cache_misses =
-        reg.GetCounter("rodb.io.cache_misses");
-    bytes->Add(io.bytes_read);
-    requests->Add(io.requests);
-    files->Add(io.files_opened);
-    cache_bytes->Add(io.bytes_from_cache);
-    cache_hits->Add(io.cache_hits);
-    cache_misses->Add(io.cache_misses);
-  }
-
-  /// Vectorized kernel counters accumulate straight into counters_, so
-  /// mirroring keeps a high-water mark and publishes only the delta --
+  /// Operators accumulate straight into counters_, so mirroring keeps a
+  /// high-water copy and publishes only the growth since the last call:
   /// FoldIo stays idempotent when called at both EOF and Close.
-  void MirrorVectorizedToRegistry() {
-    auto& reg = obs::MetricsRegistry::Default();
-    static obs::Counter* batches =
-        reg.GetCounter("rodb.scan.vectorized.batches");
-    static obs::Counter* values =
-        reg.GetCounter("rodb.scan.vectorized.values");
-    static obs::Counter* skipped =
-        reg.GetCounter("rodb.scan.vectorized.mask_skipped_values");
-    batches->Add(counters_.kernel_batches - mirrored_kernel_batches_);
-    values->Add(counters_.values_scanned_vectorized - mirrored_kernel_values_);
-    skipped->Add(counters_.mask_skipped_values - mirrored_mask_skipped_);
-    mirrored_kernel_batches_ = counters_.kernel_batches;
-    mirrored_kernel_values_ = counters_.values_scanned_vectorized;
-    mirrored_mask_skipped_ = counters_.mask_skipped_values;
+  void MirrorToRegistry() {
+#define RODB_EXEC_COUNTER(field, phase, span, metric, scaling)             \
+  {                                                                         \
+    static obs::Counter* const mirror = RegistryCounter(metric);            \
+    if (mirror != nullptr) mirror->Add(counters_.field - mirrored_.field);  \
+  }
+#include "hwmodel/exec_counters.def"
+    mirrored_ = counters_;
   }
 
-  /// Zone-map pruning counters use the same high-water scheme as the
-  /// vectorized kernel counters above.
-  void MirrorPruningToRegistry() {
-    auto& reg = obs::MetricsRegistry::Default();
-    static obs::Counter* plans = reg.GetCounter("rodb.scan.pruning.plans");
-    static obs::Counter* declined =
-        reg.GetCounter("rodb.scan.pruning.declined");
-    static obs::Counter* pruned =
-        reg.GetCounter("rodb.scan.pruning.pages_pruned");
-    static obs::Counter* retained =
-        reg.GetCounter("rodb.scan.pruning.pages_retained");
-    static obs::Counter* rejects =
-        reg.GetCounter("rodb.scan.pruning.zone_rejects");
-    static obs::Counter* corrupt =
-        reg.GetCounter("rodb.scan.pruning.synopsis_corrupt");
-    plans->Add(counters_.prune_plans - mirrored_prune_plans_);
-    declined->Add(counters_.prune_declined - mirrored_prune_declined_);
-    pruned->Add(counters_.pages_pruned - mirrored_pages_pruned_);
-    retained->Add(counters_.pages_retained - mirrored_pages_retained_);
-    rejects->Add(counters_.prune_zone_rejects - mirrored_zone_rejects_);
-    corrupt->Add(counters_.synopsis_corrupt - mirrored_synopsis_corrupt_);
-    mirrored_prune_plans_ = counters_.prune_plans;
-    mirrored_prune_declined_ = counters_.prune_declined;
-    mirrored_pages_pruned_ = counters_.pages_pruned;
-    mirrored_pages_retained_ = counters_.pages_retained;
-    mirrored_zone_rejects_ = counters_.prune_zone_rejects;
-    mirrored_synopsis_corrupt_ = counters_.synopsis_corrupt;
+  static obs::Counter* RegistryCounter(const char* metric) {
+    return metric == nullptr
+               ? nullptr
+               : obs::MetricsRegistry::Default().GetCounter(metric);
   }
 
   ExecCounters counters_;
+  /// counters_ as of the last MirrorToRegistry().
+  ExecCounters mirrored_;
   IoStats io_;
-  uint64_t mirrored_kernel_batches_ = 0;
-  uint64_t mirrored_kernel_values_ = 0;
-  uint64_t mirrored_mask_skipped_ = 0;
-  uint64_t mirrored_prune_plans_ = 0;
-  uint64_t mirrored_prune_declined_ = 0;
-  uint64_t mirrored_pages_pruned_ = 0;
-  uint64_t mirrored_pages_retained_ = 0;
-  uint64_t mirrored_zone_rejects_ = 0;
-  uint64_t mirrored_synopsis_corrupt_ = 0;
   obs::QueryTrace* trace_ = nullptr;
   const QueryContext* context_ = nullptr;
 };

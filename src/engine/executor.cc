@@ -5,31 +5,9 @@
 
 #include "common/macros.h"
 #include "common/scope_guard.h"
-#include "obs/metrics.h"
 #include "obs/span.h"
 
 namespace rodb {
-
-namespace {
-
-/// Process-wide roll-up of every Execute() call: query count, output
-/// volume, and a wall-latency histogram (microsecond buckets, 1us-~1s).
-void RecordQueryMetrics(const ExecutionResult& result) {
-  auto& reg = obs::MetricsRegistry::Default();
-  static obs::Counter* queries = reg.GetCounter("rodb.query.count");
-  static obs::Counter* rows = reg.GetCounter("rodb.query.rows");
-  static obs::Counter* blocks = reg.GetCounter("rodb.query.blocks");
-  static obs::Histogram* latency = reg.GetHistogram(
-      "rodb.query.latency_us",
-      obs::Histogram::ExponentialBounds(1, 4.0, 10));
-  queries->Increment();
-  rows->Add(result.rows);
-  blocks->Add(result.blocks);
-  latency->Record(
-      static_cast<uint64_t>(result.measured.wall_seconds * 1e6));
-}
-
-}  // namespace
 
 uint64_t Fnv1aExtend(uint64_t hash, const uint8_t* data, size_t size) {
   for (size_t i = 0; i < size; ++i) {
@@ -76,7 +54,6 @@ Result<ExecutionResult> Execute(Operator* root, ExecStats* stats) {
   }
   result.measured = timer.Lap();
   if (trace != nullptr) trace->FinalizeFromCounters(stats->counters());
-  RecordQueryMetrics(result);
   return result;
 }
 
@@ -131,31 +108,11 @@ ExecCounters ScaleCounters(const ExecCounters& counters, double factor) {
     return static_cast<uint64_t>(std::llround(static_cast<double>(v) * factor));
   };
   ExecCounters s;
-  s.tuples_examined = scale(counters.tuples_examined);
-  s.predicate_evals = scale(counters.predicate_evals);
-  s.values_copied = scale(counters.values_copied);
-  s.bytes_copied = scale(counters.bytes_copied);
-  s.positions_processed = scale(counters.positions_processed);
-  s.values_decoded_bitpack = scale(counters.values_decoded_bitpack);
-  s.values_decoded_dict = scale(counters.values_decoded_dict);
-  s.values_code_reads = scale(counters.values_code_reads);
-  s.values_decoded_for = scale(counters.values_decoded_for);
-  s.values_decoded_fordelta = scale(counters.values_decoded_fordelta);
-  s.pages_parsed = scale(counters.pages_parsed);
-  s.blocks_emitted = scale(counters.blocks_emitted);
-  s.operator_tuples = scale(counters.operator_tuples);
-  s.hash_ops = scale(counters.hash_ops);
-  s.sort_comparisons = scale(counters.sort_comparisons);
-  s.join_comparisons = scale(counters.join_comparisons);
-  s.seq_bytes_touched = scale(counters.seq_bytes_touched);
-  s.random_line_accesses = scale(counters.random_line_accesses);
-  s.l1_lines_touched = scale(counters.l1_lines_touched);
-  s.io_bytes_read = scale(counters.io_bytes_read);
-  s.io_requests = scale(counters.io_requests);
-  s.files_read = counters.files_read;  // file count does not scale
-  s.io_bytes_from_cache = scale(counters.io_bytes_from_cache);
-  s.io_cache_hits = scale(counters.io_cache_hits);
-  s.io_cache_misses = scale(counters.io_cache_misses);
+#define RODB_EXEC_COUNTER(field, phase, span, metric, scaling)         \
+  s.field = CounterScaling::scaling == CounterScaling::kPerTuple       \
+                ? scale(counters.field)                                \
+                : counters.field;
+#include "hwmodel/exec_counters.def"
   return s;
 }
 

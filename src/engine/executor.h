@@ -71,9 +71,10 @@ ModeledTiming ModelQueryTiming(const ExecCounters& counters,
 std::vector<StreamSpec> CacheAdjustedStreams(
     std::vector<StreamSpec> streams, const ExecCounters& counters);
 
-/// Scales every per-tuple counter by `factor`, used to project a scaled-
+/// Scales every kPerTuple counter by `factor`, used to project a scaled-
 /// down run to the paper's 60M-tuple tables (I/O byte counters included;
-/// see DESIGN.md substitution #4).
+/// see DESIGN.md substitution #4). kPerScan counts (files opened, prune
+/// plans, ...) are copied unchanged.
 ExecCounters ScaleCounters(const ExecCounters& counters, double factor);
 
 }  // namespace rodb

@@ -31,7 +31,7 @@ class PlanBuilder {
   /// Leaf: a table scan matching the table's layout.
   static PlanBuilder Scan(const OpenTable* table, ScanSpec spec,
                           IoBackend* backend, ExecStats* stats);
-  /// Leaf from an existing operator (e.g. a SharedScan consumer).
+  /// Leaf from an existing operator (e.g. a scanner built by the caller).
   static PlanBuilder From(OperatorPtr op, ExecStats* stats);
   /// Binary: merge join of two built plans on int32 block columns.
   static PlanBuilder MergeJoin(PlanBuilder left, PlanBuilder right,

@@ -134,7 +134,7 @@ class MemoryReservation {
 /// and report flag. A default context never expires, is never cancelled
 /// and has no budget, so code paths that don't care can carry one at
 /// zero behavioural cost. CheckAlive() is the single choke point the
-/// executor, scanners, shared scan and WOS merge call at unit
+/// executor, scanners, circulating scan and ingest merge call at unit
 /// boundaries; kCancelled wins over kDeadlineExceeded when both hold so
 /// an explicit Cancel() reports deterministically.
 class QueryContext {

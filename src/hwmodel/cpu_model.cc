@@ -5,40 +5,9 @@
 namespace rodb {
 
 ExecCounters& ExecCounters::operator+=(const ExecCounters& o) {
-  tuples_examined += o.tuples_examined;
-  predicate_evals += o.predicate_evals;
-  values_copied += o.values_copied;
-  bytes_copied += o.bytes_copied;
-  positions_processed += o.positions_processed;
-  values_decoded_bitpack += o.values_decoded_bitpack;
-  values_decoded_dict += o.values_decoded_dict;
-  values_code_reads += o.values_code_reads;
-  values_decoded_for += o.values_decoded_for;
-  values_decoded_fordelta += o.values_decoded_fordelta;
-  pages_parsed += o.pages_parsed;
-  blocks_emitted += o.blocks_emitted;
-  operator_tuples += o.operator_tuples;
-  hash_ops += o.hash_ops;
-  sort_comparisons += o.sort_comparisons;
-  join_comparisons += o.join_comparisons;
-  kernel_batches += o.kernel_batches;
-  values_scanned_vectorized += o.values_scanned_vectorized;
-  mask_skipped_values += o.mask_skipped_values;
-  prune_plans += o.prune_plans;
-  prune_declined += o.prune_declined;
-  pages_pruned += o.pages_pruned;
-  pages_retained += o.pages_retained;
-  prune_zone_rejects += o.prune_zone_rejects;
-  synopsis_corrupt += o.synopsis_corrupt;
-  seq_bytes_touched += o.seq_bytes_touched;
-  random_line_accesses += o.random_line_accesses;
-  l1_lines_touched += o.l1_lines_touched;
-  io_bytes_read += o.io_bytes_read;
-  io_requests += o.io_requests;
-  files_read += o.files_read;
-  io_bytes_from_cache += o.io_bytes_from_cache;
-  io_cache_hits += o.io_cache_hits;
-  io_cache_misses += o.io_cache_misses;
+#define RODB_EXEC_COUNTER(field, phase, span, metric, scaling) \
+  field += o.field;
+#include "hwmodel/exec_counters.def"
   return *this;
 }
 

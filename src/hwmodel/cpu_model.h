@@ -8,6 +8,10 @@
 
 namespace rodb {
 
+/// Whether a counter grows with table size (the `scaling` column of
+/// hwmodel/exec_counters.def).
+enum class CounterScaling { kPerTuple, kPerScan };
+
 /// Semantic event counters produced by the engine while executing a query.
 ///
 /// This is rodb's software substitute for the paper's PAPI hardware
@@ -15,62 +19,12 @@ namespace rodb {
 /// chip, scanners and operators count the semantic events they perform and
 /// CpuModel converts those counts into the paper's time breakdown using
 /// the same per-event cost arithmetic the paper applies to its raw
-/// counters.
+/// counters. The fields, and how each one is traced, mirrored, scaled
+/// and shipped, are listed once in hwmodel/exec_counters.def.
 struct ExecCounters {
-  // --- per-tuple engine work (user mode) ---
-  uint64_t tuples_examined = 0;     ///< scanner loop iterations
-  uint64_t predicate_evals = 0;     ///< SARGable predicate evaluations
-  uint64_t values_copied = 0;       ///< attribute values projected/copied
-  uint64_t bytes_copied = 0;        ///< bytes moved by those copies
-  uint64_t positions_processed = 0; ///< column scan-node position merges
-  uint64_t values_decoded_bitpack = 0;
-  uint64_t values_decoded_dict = 0;
-  /// Dictionary codes read without materialization (compressed eval).
-  uint64_t values_code_reads = 0;
-  uint64_t values_decoded_for = 0;
-  uint64_t values_decoded_fordelta = 0;
-  uint64_t pages_parsed = 0;
-  uint64_t blocks_emitted = 0;
-  uint64_t operator_tuples = 0;     ///< tuples through non-scan operators
-  uint64_t hash_ops = 0;            ///< hash-aggregate probe/insert ops
-  uint64_t sort_comparisons = 0;
-  uint64_t join_comparisons = 0;
-
-  // --- vectorized scan kernels (src/kernels/) ---
-  uint64_t kernel_batches = 0;            ///< ScanBatch/DecodeBatch calls
-  uint64_t values_scanned_vectorized = 0; ///< values filtered in kernels
-  /// Values later predicate passes never touched because the selection
-  /// mask was already all-zero for their word.
-  uint64_t mask_skipped_values = 0;
-
-  // --- zone-map pruning (engine/zone_pruner.h) ---
-  uint64_t prune_plans = 0;     ///< scans that ran with an active plan
-  uint64_t prune_declined = 0;  ///< prune requested but declined (no/stale
-                                ///< synopsis, kCharPack predicate, ...)
-  uint64_t pages_pruned = 0;    ///< pages skipped before their I/O
-  uint64_t pages_retained = 0;  ///< pages an active plan kept
-  /// Column pipeline positions rejected by an inner node's zone without
-  /// fetching that node's page.
-  uint64_t prune_zone_rejects = 0;
-  /// Synopsis sidecars rejected at open (CRC/staleness failure).
-  uint64_t synopsis_corrupt = 0;
-
-  // --- memory access pattern ---
-  uint64_t seq_bytes_touched = 0;      ///< sequentially streamed bytes
-  uint64_t random_line_accesses = 0;   ///< non-prefetchable line misses
-  uint64_t l1_lines_touched = 0;       ///< lines moved L2 -> L1
-
-  // --- I/O issued on behalf of this query (drives system time) ---
-  uint64_t io_bytes_read = 0;   ///< bytes actually served by the backend
-  uint64_t io_requests = 0;
-  uint64_t files_read = 0;
-  /// Bytes served by a BlockCache instead of the backend (and the unit
-  /// hit/miss split). Cache-served bytes never reach the disk model:
-  /// CacheAdjustedStreams() shrinks the stream list by the cached
-  /// fraction so warm-cache runs come out CPU-bound.
-  uint64_t io_bytes_from_cache = 0;
-  uint64_t io_cache_hits = 0;
-  uint64_t io_cache_misses = 0;
+#define RODB_EXEC_COUNTER(field, phase, span, metric, scaling) \
+  uint64_t field = 0;
+#include "hwmodel/exec_counters.def"
 
   ExecCounters& operator+=(const ExecCounters& o);
 };

@@ -39,63 +39,20 @@ void QueryTrace::AddPhaseNanos(TracePhase phase, uint64_t nanos) {
 
 namespace {
 
-/// Appends (name, value) only when the event actually happened, so spans
-/// don't render rows of zeros.
+/// Appends (name, value) only for span counters whose event actually
+/// happened, so spans don't render rows of zeros.
 void Put(std::vector<std::pair<std::string, uint64_t>>* list,
          const char* name, uint64_t value) {
-  if (value > 0) list->emplace_back(name, value);
+  if (name != nullptr && value > 0) list->emplace_back(name, value);
 }
 
 }  // namespace
 
 void QueryTrace::FinalizeFromCounters(const ExecCounters& c) {
   for (auto& list : counters_) list.clear();
-
-  auto* scan = &counters_[Index(TracePhase::kScan)];
-  Put(scan, "rows", c.tuples_examined);
-  Put(scan, "pages", c.pages_parsed);
-  Put(scan, "blocks", c.blocks_emitted);
-  Put(scan, "seq_bytes", c.seq_bytes_touched);
-  Put(scan, "prune_plans", c.prune_plans);
-  Put(scan, "prune_declined", c.prune_declined);
-  Put(scan, "pages_pruned", c.pages_pruned);
-  Put(scan, "pages_retained", c.pages_retained);
-  Put(scan, "prune_zone_rejects", c.prune_zone_rejects);
-  Put(scan, "synopsis_corrupt", c.synopsis_corrupt);
-
-  auto* decode = &counters_[Index(TracePhase::kDecode)];
-  Put(decode, "bitpack", c.values_decoded_bitpack);
-  Put(decode, "dict", c.values_decoded_dict);
-  Put(decode, "code_reads", c.values_code_reads);
-  Put(decode, "for", c.values_decoded_for);
-  Put(decode, "fordelta", c.values_decoded_fordelta);
-  Put(decode, "positions", c.positions_processed);
-
-  auto* filter = &counters_[Index(TracePhase::kFilter)];
-  Put(filter, "predicate_evals", c.predicate_evals);
-  Put(filter, "vectorized_batches", c.kernel_batches);
-  Put(filter, "vectorized_values", c.values_scanned_vectorized);
-  Put(filter, "mask_skipped_values", c.mask_skipped_values);
-
-  auto* project = &counters_[Index(TracePhase::kProject)];
-  Put(project, "values_copied", c.values_copied);
-  Put(project, "bytes_copied", c.bytes_copied);
-
-  auto* agg = &counters_[Index(TracePhase::kAggregate)];
-  Put(agg, "hash_ops", c.hash_ops);
-  Put(agg, "operator_tuples", c.operator_tuples);
-
-  Put(&counters_[Index(TracePhase::kSort)], "sort_comparisons",
-      c.sort_comparisons);
-
-  auto* io = &counters_[Index(TracePhase::kIo)];
-  Put(io, "backend_bytes", c.io_bytes_read);
-  Put(io, "requests", c.io_requests);
-  Put(io, "files", c.files_read);
-  Put(io, "cache_bytes", c.io_bytes_from_cache);
-  Put(io, "cache_hits", c.io_cache_hits);
-  Put(io, "cache_misses", c.io_cache_misses);
-
+#define RODB_EXEC_COUNTER(field, phase, span, metric, scaling) \
+  Put(&counters_[Index(TracePhase::phase)], span, c.field);
+#include "hwmodel/exec_counters.def"
   finalized_ = true;
 }
 

@@ -73,7 +73,8 @@ class QueryTrace {
 
   /// Attaches the canonical per-span counters from the query's folded
   /// ExecCounters (scan rows/pages, decode events, filter/project work,
-  /// backend-vs-cache I/O). Call once after execution.
+  /// backend-vs-cache I/O; the span column of hwmodel/exec_counters.def).
+  /// Call once after execution.
   void FinalizeFromCounters(const ExecCounters& c);
 
   uint64_t PhaseNanos(TracePhase phase) const {

@@ -102,29 +102,15 @@ Status Truncated(const char* what) {
 }
 
 void PutCounters(std::vector<uint8_t>* out, const ExecCounters& c) {
-  PutU64(out, c.tuples_examined);
-  PutU64(out, c.predicate_evals);
-  PutU64(out, c.values_copied);
-  PutU64(out, c.bytes_copied);
-  PutU64(out, c.pages_parsed);
-  PutU64(out, c.blocks_emitted);
-  PutU64(out, c.operator_tuples);
-  PutU64(out, c.io_bytes_read);
-  PutU64(out, c.io_requests);
-  PutU64(out, c.io_bytes_from_cache);
+#define RODB_EXEC_COUNTER(field, phase, span, metric, scaling) \
+  PutU64(out, c.field);
+#include "hwmodel/exec_counters.def"
 }
 
 void GetCounters(ByteReader* in, ExecCounters* c) {
-  c->tuples_examined = in->U64();
-  c->predicate_evals = in->U64();
-  c->values_copied = in->U64();
-  c->bytes_copied = in->U64();
-  c->pages_parsed = in->U64();
-  c->blocks_emitted = in->U64();
-  c->operator_tuples = in->U64();
-  c->io_bytes_read = in->U64();
-  c->io_requests = in->U64();
-  c->io_bytes_from_cache = in->U64();
+#define RODB_EXEC_COUNTER(field, phase, span, metric, scaling) \
+  c->field = in->U64();
+#include "hwmodel/exec_counters.def"
 }
 
 }  // namespace

@@ -60,7 +60,10 @@ std::vector<uint8_t> EncodeQueryRequest(const QueryRequest& request);
 Result<QueryRequest> DecodeQueryRequest(const uint8_t* data, size_t size);
 
 /// Serializes rows/blocks/checksum/digest/shared/attach/counters/wall
-/// plus any collected rows. The BlockLayout travels as its width list.
+/// plus any collected rows. The BlockLayout travels as its width list;
+/// the counters travel whole, in hwmodel/exec_counters.def order. The
+/// frame carries no version, so client and server must agree on that
+/// list.
 std::vector<uint8_t> EncodeQueryResult(const QueryResult& result);
 Result<QueryResult> DecodeQueryResult(const uint8_t* data, size_t size);
 

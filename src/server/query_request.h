@@ -42,11 +42,11 @@ enum class QueryMode : uint8_t {
 ///
 ///   select <projection> from <table> where <predicates>
 ///
-/// plus every execution knob the subsystems underneath understand. This
-/// subsumes the previous hand-wired entry points (OpenScanner +
-/// Execute, ParallelExecute, SharedScan::AddConsumer): callers describe
-/// the query, `Database::Execute` / `QueryEngine::Execute` decide how
-/// to run it.
+/// plus every execution knob the subsystems underneath understand.
+/// Callers describe the query; `Database::Execute` /
+/// `QueryEngine::Execute` decide how to run it (serial, morsel-parallel,
+/// circulating shared scan or ingest snapshot) instead of the caller
+/// hand-wiring OpenScanner + Execute or ParallelExecute.
 struct QueryRequest {
   std::string table;                  ///< catalog name
   std::vector<int> projection;        ///< table attr indices; empty = all

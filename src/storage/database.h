@@ -24,7 +24,7 @@ class QueryEngine;
 
 /// A database is a directory of bulk-loaded tables. This handle
 /// enumerates the catalog and opens/drops tables; loading goes through
-/// TableWriter (or the WOS merge), reading through Execute() (or, for
+/// TableWriter (or Ingest()), reading through Execute() (or, for
 /// code that needs raw operators, the scanners).
 class Database {
  public:
@@ -48,7 +48,7 @@ class Database {
   /// Runs one query through the database's QueryEngine (created lazily
   /// with default EngineOptions on first use; see ConfigureEngine).
   /// This is the public read API: it subsumes hand-wiring OpenScanner +
-  /// Execute, ParallelExecute and SharedScan. Thread-safe; copies of
+  /// Execute and ParallelExecute. Thread-safe; copies of
   /// this Database share one engine.
   Result<QueryResult> Execute(const QueryRequest& request);
 

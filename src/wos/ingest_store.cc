@@ -7,12 +7,15 @@
 #include <utility>
 
 #include "common/bytes.h"
+#include "common/file_util.h"
 #include "common/macros.h"
 #include "common/thread_pool.h"
 #include "io/durable_file.h"
 #include "obs/metrics.h"
+#include "storage/column_page.h"
+#include "storage/pax_page.h"
+#include "storage/row_page.h"
 #include "storage/table_files.h"
-#include "wos/merge.h"
 
 namespace rodb {
 
@@ -103,7 +106,128 @@ Status ValidateTableFiles(const OpenTable& t) {
   return Status::OK();
 }
 
+Status CheckAlive(const QueryContext* context) {
+  return context == nullptr ? Status::OK() : context->CheckAlive();
+}
+
+Result<std::vector<std::vector<uint8_t>>> ReadRowTable(
+    const OpenTable& table, const QueryContext* context) {
+  const TableMeta& meta = table.meta();
+  RODB_ASSIGN_OR_RETURN(std::string file, ReadFileToString(table.FilePath(0)));
+  if (file.size() != meta.file_bytes[0]) {
+    return Status::Corruption("row file size mismatch for " + meta.name);
+  }
+  RODB_ASSIGN_OR_RETURN(OpenTable::RowCodecBundle bundle,
+                        table.MakeRowCodec());
+  std::vector<std::vector<uint8_t>> tuples;
+  tuples.reserve(meta.num_tuples);
+  const size_t width = static_cast<size_t>(meta.schema.raw_tuple_width());
+  for (uint64_t p = 0; p < meta.file_pages[0]; ++p) {
+    RODB_RETURN_IF_ERROR(CheckAlive(context));
+    const uint8_t* page =
+        reinterpret_cast<const uint8_t*>(file.data()) + p * meta.page_size;
+    RODB_ASSIGN_OR_RETURN(
+        RowPageReader reader,
+        RowPageReader::Open(page, meta.page_size, &meta.schema,
+                            bundle.row_codec.get()));
+    for (uint32_t i = 0; i < reader.count(); ++i) {
+      std::vector<uint8_t> tuple(width);
+      reader.DecodeNext(tuple.data());
+      tuples.push_back(std::move(tuple));
+    }
+  }
+  return tuples;
+}
+
+Result<std::vector<std::vector<uint8_t>>> ReadColumnTable(
+    const OpenTable& table, const QueryContext* context) {
+  const TableMeta& meta = table.meta();
+  const size_t width = static_cast<size_t>(meta.schema.raw_tuple_width());
+  std::vector<std::vector<uint8_t>> tuples(
+      meta.num_tuples, std::vector<uint8_t>(width));
+  for (size_t attr = 0; attr < meta.schema.num_attributes(); ++attr) {
+    RODB_ASSIGN_OR_RETURN(std::string file,
+                          ReadFileToString(table.FilePath(attr)));
+    if (file.size() != meta.file_bytes[attr]) {
+      return Status::Corruption("column file size mismatch for " + meta.name);
+    }
+    RODB_ASSIGN_OR_RETURN(std::unique_ptr<AttributeCodec> codec,
+                          table.MakeAttrCodec(attr));
+    const int offset = meta.schema.attr_offset(attr);
+    uint64_t row = 0;
+    for (uint64_t p = 0; p < meta.file_pages[attr]; ++p) {
+      RODB_RETURN_IF_ERROR(CheckAlive(context));
+      const uint8_t* page =
+          reinterpret_cast<const uint8_t*>(file.data()) + p * meta.page_size;
+      RODB_ASSIGN_OR_RETURN(
+          ColumnPageReader reader,
+          ColumnPageReader::Open(page, meta.page_size, codec.get()));
+      for (uint32_t i = 0; i < reader.count(); ++i) {
+        if (row >= meta.num_tuples) {
+          return Status::Corruption("column longer than table cardinality");
+        }
+        reader.DecodeNext(tuples[row].data() + offset);
+        ++row;
+      }
+    }
+    if (row != meta.num_tuples) {
+      return Status::Corruption("column shorter than table cardinality");
+    }
+  }
+  return tuples;
+}
+
+Result<std::vector<std::vector<uint8_t>>> ReadPaxTable(
+    const OpenTable& table, const QueryContext* context) {
+  const TableMeta& meta = table.meta();
+  RODB_ASSIGN_OR_RETURN(std::string file, ReadFileToString(table.FilePath(0)));
+  if (file.size() != meta.file_bytes[0]) {
+    return Status::Corruption("PAX file size mismatch for " + meta.name);
+  }
+  std::vector<std::unique_ptr<AttributeCodec>> owned;
+  std::vector<AttributeCodec*> codecs;
+  for (size_t a = 0; a < meta.schema.num_attributes(); ++a) {
+    RODB_ASSIGN_OR_RETURN(auto codec, table.MakeAttrCodec(a));
+    codecs.push_back(codec.get());
+    owned.push_back(std::move(codec));
+  }
+  const size_t width = static_cast<size_t>(meta.schema.raw_tuple_width());
+  std::vector<std::vector<uint8_t>> tuples;
+  tuples.reserve(meta.num_tuples);
+  for (uint64_t p = 0; p < meta.file_pages[0]; ++p) {
+    RODB_RETURN_IF_ERROR(CheckAlive(context));
+    const uint8_t* page =
+        reinterpret_cast<const uint8_t*>(file.data()) + p * meta.page_size;
+    RODB_ASSIGN_OR_RETURN(
+        PaxPageReader reader,
+        PaxPageReader::Open(page, meta.page_size, &meta.schema, codecs));
+    for (uint32_t i = 0; i < reader.count(); ++i) {
+      std::vector<uint8_t> tuple(width);
+      for (size_t a = 0; a < codecs.size(); ++a) {
+        reader.DecodeNext(
+            a, tuple.data() +
+                   static_cast<size_t>(meta.schema.attr_offset(a)));
+      }
+      tuples.push_back(std::move(tuple));
+    }
+  }
+  return tuples;
+}
+
 }  // namespace
+
+Result<std::vector<std::vector<uint8_t>>> ReadAllTuples(
+    const OpenTable& table, const QueryContext* context) {
+  switch (table.meta().layout) {
+    case Layout::kRow:
+      return ReadRowTable(table, context);
+    case Layout::kPax:
+      return ReadPaxTable(table, context);
+    case Layout::kColumn:
+      break;
+  }
+  return ReadColumnTable(table, context);
+}
 
 TableLease::~TableLease() {
   if (obsolete_.load(std::memory_order_acquire)) {

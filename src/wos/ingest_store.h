@@ -20,6 +20,13 @@
 
 namespace rodb {
 
+/// Materializes every tuple of a stored table back into raw form (used by
+/// the merge to re-write the read store; tables are read page by page,
+/// column files in lockstep). A non-null `context` is checked at page
+/// boundaries.
+Result<std::vector<std::vector<uint8_t>>> ReadAllTuples(
+    const OpenTable& table, const QueryContext* context = nullptr);
+
 /// Tuning and test knobs for one ingest-attached table.
 struct IngestOptions {
   /// int32 clustering key every segment and the ROS are sorted on.

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <set>
+
 #include "common/bytes.h"
 #include "engine/executor.h"
 #include "scan_test_util.h"
@@ -8,8 +11,12 @@
 namespace rodb {
 namespace {
 
+using rodb::testing::CounterWords;
+using rodb::testing::DistinctCounters;
+using rodb::testing::kCounterWords;
 using rodb::testing::LoadBothLayouts;
 using rodb::testing::TempDir;
+using rodb::testing::ToWords;
 using rodb::testing::VectorSource;
 
 TEST(ExecuteTest, CountsRowsAndBlocks) {
@@ -93,17 +100,27 @@ TEST(ModelQueryTimingTest, ElapsedIsMaxOfOverlappedTimes) {
                    std::max(timing.cpu_seconds, timing.io_seconds));
 }
 
-TEST(ScaleCountersTest, ScalesPerTupleWorkButNotFiles) {
-  ExecCounters c;
-  c.tuples_examined = 1000;
-  c.io_bytes_read = 4096;
-  c.seq_bytes_touched = 2048;
-  c.files_read = 7;
-  const ExecCounters s = ScaleCounters(c, 100.0);
-  EXPECT_EQ(s.tuples_examined, 100000u);
-  EXPECT_EQ(s.io_bytes_read, 409600u);
-  EXPECT_EQ(s.seq_bytes_touched, 204800u);
-  EXPECT_EQ(s.files_read, 7u);
+TEST(ScaleCountersTest, ScalesPerTupleWorkButNotPerScanCounts) {
+  const ExecCounters c = DistinctCounters();
+  constexpr uint64_t kFactor = 100;
+  const ExecCounters s = ScaleCounters(c, static_cast<double>(kFactor));
+  // The paper-scale CPU breakdowns price every scaled counter.
+  const CpuModel cpu(HardwareConfig::Paper2006());
+  EXPECT_DOUBLE_EQ(cpu.UserUops(s),
+                   static_cast<double>(kFactor) * cpu.UserUops(c));
+  // Counts taken once per scan do not grow with the table; every other
+  // counter does.
+  const std::set<size_t> per_scan = {
+      offsetof(ExecCounters, files_read) / sizeof(uint64_t),
+      offsetof(ExecCounters, prune_plans) / sizeof(uint64_t),
+      offsetof(ExecCounters, prune_declined) / sizeof(uint64_t),
+      offsetof(ExecCounters, synopsis_corrupt) / sizeof(uint64_t)};
+  const CounterWords in = ToWords(c);
+  const CounterWords out = ToWords(s);
+  for (size_t i = 0; i < kCounterWords; ++i) {
+    const uint64_t want = per_scan.count(i) > 0 ? in[i] : in[i] * kFactor;
+    EXPECT_EQ(out[i], want) << "counter field #" << i;
+  }
 }
 
 }  // namespace

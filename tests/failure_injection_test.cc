@@ -4,15 +4,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 
 #include "common/bytes.h"
 #include "common/file_util.h"
 #include "engine/column_scanner.h"
 #include "io/fault_injection.h"
+#include "obs/metrics.h"
 #include "scan_test_util.h"
-#include "wos/merge.h"
+#include "wos/ingest_store.h"
 
 namespace rodb {
 namespace {
@@ -236,16 +239,44 @@ TEST_F(FailureInjectionTest, ChecksumCatchesSilentPayloadCorruption) {
   EXPECT_TRUE(verified.status().IsCorruption());
 }
 
-TEST_F(FailureInjectionTest, MergeRejectsCorruptOldStore) {
-  ASSERT_OK_AND_ASSIGN(OpenTable table, OpenTable::Open(dir_.path(), "t_row"));
-  Truncate(table.FilePath(0), 1024);
-  WriteStore wos(schema_);
+TEST_F(FailureInjectionTest, IngestMergeRejectsCorruptRosGeneration) {
+  IngestOptions options;
+  options.freeze_tuples = 0;
+  options.merge_segments = 0;
+  ASSERT_OK_AND_ASSIGN(auto store, IngestStore::Open(dir_.path(), "events",
+                                                     schema_, options));
   uint8_t tuple[12] = {0};
   std::memcpy(tuple + 8, "AAAA", 4);
-  ASSERT_OK(wos.Insert(tuple));
-  MergeOptions options;
-  EXPECT_FALSE(
-      MergeIntoReadStore(dir_.path(), "t_row", "t2", &wos, options).ok());
+  for (int32_t i = 0; i < 500; ++i) {
+    StoreLE32s(tuple, i);
+    ASSERT_OK(store->Append(tuple));
+  }
+  ASSERT_OK(store->Freeze());
+  ASSERT_OK(store->Merge());
+  ASSERT_OK(store->Append(tuple));
+  ASSERT_OK(store->Freeze());
+  const Snapshot before = store->Acquire();
+  ASSERT_NE(before.ros(), nullptr);
+  Truncate(before.ros()->FilePath(0), 1024);
+
+  const auto gen_files = [this] {
+    std::vector<std::string> names;
+    for (const auto& entry : std::filesystem::directory_iterator(dir_.path())) {
+      const std::string name = entry.path().filename().string();
+      if (name.rfind("events__gen", 0) == 0) names.push_back(name);
+    }
+    std::sort(names.begin(), names.end());
+    return names;
+  };
+  const std::vector<std::string> gens_before = gen_files();
+  obs::Counter* failures =
+      obs::MetricsRegistry::Default().GetCounter("rodb.ingest.merge_failures");
+  const uint64_t failures_before = failures->Value();
+  const Status merged = store->Merge();
+  EXPECT_TRUE(merged.IsCorruption()) << merged.ToString();
+  EXPECT_EQ(failures->Value(), failures_before + 1);
+  EXPECT_EQ(store->epoch(), before.epoch());
+  EXPECT_EQ(gen_files(), gens_before);
 }
 
 TEST_F(FailureInjectionTest, CatalogCardinalityLieDetectedByColumnScan) {

@@ -1,7 +1,7 @@
 // Resilient query execution (docs/RESILIENCE.md): cooperative
 // cancellation, deadlines and memory budgets threaded through the serial
-// executor, all scanners, the parallel executor, the shared scan and the
-// WOS merge -- plus the leak audits: a query aborted mid-stream must
+// executor, all scanners, the parallel executor and the ingest merge's
+// read path -- plus the leak audits: a query aborted mid-stream must
 // release every block-cache pin and leave no work queued on the shared
 // thread pool.
 
@@ -19,14 +19,13 @@
 #include "engine/executor.h"
 #include "engine/parallel_executor.h"
 #include "engine/plan_builder.h"
-#include "engine/shared_scan.h"
 #include "io/block_cache.h"
 #include "io/fault_injection.h"
 #include "io/file_backend.h"
 #include "obs/metrics.h"
 #include "scan_test_util.h"
 #include "test_util.h"
-#include "wos/merge.h"
+#include "wos/ingest_store.h"
 
 namespace rodb {
 namespace {
@@ -324,49 +323,7 @@ TEST_F(ResilienceScanTest, ParallelRunHonorsMemoryBudget) {
   EXPECT_EQ(roomy.memory_budget()->used_bytes(), 0u);
 }
 
-// --- shared scan ---
-
-TEST_F(ResilienceScanTest, SharedScanObservesContext) {
-  ASSERT_OK_AND_ASSIGN(OpenTable table, OpenTable::Open(dir_.path(), "t_row"));
-  FileBackend backend;
-  ExecStats stats;
-  ASSERT_OK_AND_ASSIGN(
-      OperatorPtr source,
-      testing::MakeScanner(&table, AllColumnsSpec(), &backend, &stats));
-  SharedScan shared(std::move(source));
-  OperatorPtr consumer = shared.AddConsumer();
-  QueryContext ctx;
-  ctx.Cancel();
-  shared.set_context(&ctx);
-  ASSERT_OK(consumer->Open());
-  auto block = consumer->Next();
-  ASSERT_FALSE(block.ok());
-  EXPECT_EQ(block.status().code(), StatusCode::kCancelled);
-  consumer->Close();
-}
-
-TEST_F(ResilienceScanTest, SharedScanWindowDebitsBudget) {
-  ASSERT_OK_AND_ASSIGN(OpenTable table, OpenTable::Open(dir_.path(), "t_row"));
-  FileBackend backend;
-  ExecStats stats;
-  ASSERT_OK_AND_ASSIGN(
-      OperatorPtr source,
-      testing::MakeScanner(&table, AllColumnsSpec(), &backend, &stats));
-  SharedScan shared(std::move(source));
-  OperatorPtr consumer = shared.AddConsumer();
-  QueryContext ctx;
-  ctx.set_memory_budget(std::make_shared<MemoryBudget>(16));
-  shared.set_context(&ctx);
-  ASSERT_OK(consumer->Open());
-  // The first buffered block is bigger than the budget.
-  auto block = consumer->Next();
-  ASSERT_FALSE(block.ok());
-  EXPECT_EQ(block.status().code(), StatusCode::kResourceExhausted);
-  consumer->Close();
-  EXPECT_EQ(ctx.memory_budget()->used_bytes(), 0u);
-}
-
-// --- WOS merge path ---
+// --- ingest merge read path ---
 
 TEST_F(ResilienceScanTest, ReadAllTuplesObservesContext) {
   ASSERT_OK_AND_ASSIGN(OpenTable table, OpenTable::Open(dir_.path(), "t_pax"));

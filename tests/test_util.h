@@ -3,11 +3,15 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <bit>
 #include <cstdlib>
 #include <filesystem>
 #include <string>
+#include <type_traits>
 
 #include "common/status.h"
+#include "hwmodel/cpu_model.h"
 
 namespace rodb::testing {
 
@@ -31,6 +35,24 @@ class TempDir {
  private:
   std::string path_;
 };
+
+/// ExecCounters as its array of uint64_t fields, so a test can set or
+/// compare every counter without naming each one.
+static_assert(std::has_unique_object_representations_v<ExecCounters>,
+              "ExecCounters must be plain uint64_t fields");
+inline constexpr size_t kCounterWords = sizeof(ExecCounters) / sizeof(uint64_t);
+using CounterWords = std::array<uint64_t, kCounterWords>;
+
+inline CounterWords ToWords(const ExecCounters& c) {
+  return std::bit_cast<CounterWords>(c);
+}
+
+/// Counters whose every field holds a distinct non-zero value.
+inline ExecCounters DistinctCounters() {
+  CounterWords words;
+  for (size_t i = 0; i < kCounterWords; ++i) words[i] = 3 * i + 1;
+  return std::bit_cast<ExecCounters>(words);
+}
 
 }  // namespace rodb::testing
 

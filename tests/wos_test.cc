@@ -1,205 +1,61 @@
+// ReadAllTuples -- the ingest merge's read phase and the decoder behind
+// rodbctl verify/advise -- must return exactly the tuples a bulk load
+// wrote, in order, for every layout, plain and compressed.
+
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <tuple>
 
 #include "common/bytes.h"
-#include "engine/column_scanner.h"
 #include "scan_test_util.h"
-#include "wos/merge.h"
-#include "wos/write_store.h"
+#include "wos/ingest_store.h"
 
 namespace rodb {
 namespace {
 
-using rodb::testing::CollectTuples;
+using rodb::testing::LayoutSuffix;
+using rodb::testing::LoadLayouts;
 using rodb::testing::TempDir;
 
-Schema TwoIntSchema() {
+class ReadAllTuplesTest
+    : public ::testing::TestWithParam<std::tuple<Layout, bool>> {};
+
+TEST_P(ReadAllTuplesTest, RoundTripsBulkLoad) {
+  const auto [layout, compressed] = GetParam();
   auto schema = Schema::Make(
-      {AttributeDesc::Int32("key"), AttributeDesc::Int32("val")});
-  EXPECT_TRUE(schema.ok());
-  return std::move(schema).value();
-}
-
-std::vector<uint8_t> Row(int32_t key, int32_t val) {
-  std::vector<uint8_t> t(8);
-  StoreLE32s(t.data(), key);
-  StoreLE32s(t.data() + 4, val);
-  return t;
-}
-
-TEST(WriteStoreTest, InsertAndAccess) {
-  WriteStore wos(TwoIntSchema());
-  EXPECT_TRUE(wos.empty());
-  ASSERT_OK(wos.Insert(Row(5, 50).data()));
-  ASSERT_OK(wos.Insert(Row(3, 30).data()));
-  EXPECT_EQ(wos.size(), 2u);
-  EXPECT_EQ(wos.memory_bytes(), 16u);
-  EXPECT_EQ(LoadLE32s(wos.tuple(1)), 3);
-  EXPECT_FALSE(wos.Insert(nullptr).ok());
-}
-
-TEST(WriteStoreTest, SortByIsStable) {
-  WriteStore wos(TwoIntSchema());
-  ASSERT_OK(wos.Insert(Row(2, 1).data()));
-  ASSERT_OK(wos.Insert(Row(1, 2).data()));
-  ASSERT_OK(wos.Insert(Row(2, 3).data()));
-  ASSERT_OK(wos.Insert(Row(1, 4).data()));
-  ASSERT_OK(wos.SortBy(0));
-  EXPECT_EQ(LoadLE32s(wos.tuple(0) + 4), 2);  // key 1, first inserted
-  EXPECT_EQ(LoadLE32s(wos.tuple(1) + 4), 4);
-  EXPECT_EQ(LoadLE32s(wos.tuple(2) + 4), 1);  // key 2, first inserted
-  EXPECT_EQ(LoadLE32s(wos.tuple(3) + 4), 3);
-  EXPECT_FALSE(wos.SortBy(9).ok());
-}
-
-TEST(MergeTest, FirstLoadCreatesTable) {
-  TempDir dir;
-  WriteStore wos(TwoIntSchema());
-  for (int i = 50; i > 0; --i) ASSERT_OK(wos.Insert(Row(i, i * 10).data()));
-  MergeOptions options;
-  ASSERT_OK_AND_ASSIGN(
-      TableMeta meta,
-      MergeIntoReadStore(dir.path(), "", "gen1", &wos, options));
-  EXPECT_EQ(meta.num_tuples, 50u);
-  EXPECT_TRUE(wos.empty());  // cleared after a successful merge
-  ASSERT_OK_AND_ASSIGN(OpenTable table, OpenTable::Open(dir.path(), "gen1"));
-  ASSERT_OK_AND_ASSIGN(auto tuples, ReadAllTuples(table));
-  ASSERT_EQ(tuples.size(), 50u);
-  for (int i = 0; i < 50; ++i) {
-    EXPECT_EQ(LoadLE32s(tuples[static_cast<size_t>(i)].data()), i + 1);
-  }
-}
-
-class MergeLayoutTest : public ::testing::TestWithParam<Layout> {};
-
-TEST_P(MergeLayoutTest, MergePreservesSortOrderAndContents) {
-  TempDir dir;
-  MergeOptions options;
-  options.layout = GetParam();
-  // Generation 1: even keys.
-  WriteStore wos(TwoIntSchema());
-  for (int k = 0; k < 200; k += 2) ASSERT_OK(wos.Insert(Row(k, k).data()));
-  ASSERT_OK(
-      MergeIntoReadStore(dir.path(), "", "gen1", &wos, options).status());
-  // Generation 2: odd keys arrive in the WOS out of order.
-  for (int k = 199; k >= 1; k -= 2) {
-    ASSERT_OK(wos.Insert(Row(k, -k).data()));
-  }
-  ASSERT_OK_AND_ASSIGN(
-      TableMeta merged,
-      MergeIntoReadStore(dir.path(), "gen1", "gen2", &wos, options));
-  EXPECT_EQ(merged.num_tuples, 200u);
-  ASSERT_OK_AND_ASSIGN(OpenTable table, OpenTable::Open(dir.path(), "gen2"));
-  ASSERT_OK_AND_ASSIGN(auto tuples, ReadAllTuples(table));
-  ASSERT_EQ(tuples.size(), 200u);
-  for (int k = 0; k < 200; ++k) {
-    EXPECT_EQ(LoadLE32s(tuples[static_cast<size_t>(k)].data()), k);
-    const int32_t val = LoadLE32s(tuples[static_cast<size_t>(k)].data() + 4);
-    EXPECT_EQ(val, k % 2 == 0 ? k : -k);
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Layouts, MergeLayoutTest,
-                         ::testing::Values(Layout::kRow, Layout::kColumn));
-
-TEST(MergeTest, MergedTableIsScannable) {
-  // The merged read store must serve the ordinary scanners.
-  TempDir dir;
-  WriteStore wos(TwoIntSchema());
-  for (int i = 0; i < 500; ++i) ASSERT_OK(wos.Insert(Row(i, i % 7).data()));
-  MergeOptions options;
-  options.layout = Layout::kColumn;
-  ASSERT_OK(
-      MergeIntoReadStore(dir.path(), "", "scannable", &wos, options).status());
-  ASSERT_OK_AND_ASSIGN(OpenTable table,
-                       OpenTable::Open(dir.path(), "scannable"));
-  FileBackend backend;
-  ExecStats stats;
-  ScanSpec spec;
-  spec.projection = {0, 1};
-  spec.predicates = {Predicate::Int32(1, CompareOp::kEq, 3)};
-  ASSERT_OK_AND_ASSIGN(auto scan,
-                       ColumnScanner::Make(&table, spec, &backend, &stats));
-  ASSERT_OK_AND_ASSIGN(auto tuples, CollectTuples(scan.get()));
-  EXPECT_EQ(tuples.size(), 500u / 7 + (500 % 7 > 3 ? 1 : 0));
-}
-
-TEST(MergeTest, SchemaMismatchRejected) {
-  TempDir dir;
-  WriteStore wos(TwoIntSchema());
-  ASSERT_OK(wos.Insert(Row(1, 1).data()));
-  MergeOptions options;
-  ASSERT_OK(
-      MergeIntoReadStore(dir.path(), "", "base", &wos, options).status());
-  auto other = Schema::Make({AttributeDesc::Int32("only")});
-  ASSERT_OK(other.status());
-  WriteStore mismatched(std::move(other).value());
-  ASSERT_OK(mismatched.Insert(Row(1, 1).data()));  // only first 4 bytes used
-  EXPECT_FALSE(
-      MergeIntoReadStore(dir.path(), "base", "next", &mismatched, options)
-          .ok());
-}
-
-TEST(MergeTest, FailedMergeKeepsWosIntact) {
-  // Regression test for the clear-before-durable window: a merge that
-  // dies anywhere before the new table is durably committed must leave
-  // the WOS contents untouched, so a retry can run from the same state.
-  TempDir dir;
-  WriteStore wos(TwoIntSchema());
-  for (int i = 0; i < 100; ++i) ASSERT_OK(wos.Insert(Row(i, i).data()));
-  MergeOptions options;
-  ASSERT_OK(MergeIntoReadStore(dir.path(), "", "g1", &wos, options).status());
-  for (int i = 100; i < 150; ++i) ASSERT_OK(wos.Insert(Row(i, i).data()));
-
-  for (const char* point : {"merge.finish", "merge.commit"}) {
-    options.fail_point = [point](std::string_view at) {
-      return at == point ? Status::IoError("injected") : Status::OK();
-    };
-    EXPECT_FALSE(
-        MergeIntoReadStore(dir.path(), "g1", "g2", &wos, options).ok());
-    // The buffered tuples survive the failed merge (sorted, not lost).
-    EXPECT_EQ(wos.size(), 50u);
-    // And the previous generation is still fully readable.
-    ASSERT_OK_AND_ASSIGN(OpenTable g1, OpenTable::Open(dir.path(), "g1"));
-    ASSERT_OK_AND_ASSIGN(auto tuples, ReadAllTuples(g1));
-    EXPECT_EQ(tuples.size(), 100u);
-  }
-
-  // With the injection gone the same WOS merges cleanly.
-  options.fail_point = nullptr;
-  ASSERT_OK_AND_ASSIGN(
-      TableMeta merged,
-      MergeIntoReadStore(dir.path(), "g1", "g3", &wos, options));
-  EXPECT_EQ(merged.num_tuples, 150u);
-  EXPECT_TRUE(wos.empty());
-}
-
-TEST(MergeTest, CompressedReadStoreRoundTrips) {
-  TempDir dir;
-  auto schema = Schema::Make(
-      {AttributeDesc::Int32("key", CodecSpec::ForDelta(8)),
-       AttributeDesc::Int32("val", CodecSpec::BitPack(10))});
+      {AttributeDesc::Int32(
+           "key", compressed ? CodecSpec::ForDelta(8) : CodecSpec::None()),
+       AttributeDesc::Int32(
+           "val", compressed ? CodecSpec::BitPack(10) : CodecSpec::None()),
+       AttributeDesc::Text(
+           "tag", 4, compressed ? CodecSpec::Dict(2) : CodecSpec::None())});
   ASSERT_OK(schema.status());
-  WriteStore wos(*schema);
-  for (int i = 0; i < 300; ++i) ASSERT_OK(wos.Insert(Row(i, i % 1000).data()));
-  MergeOptions options;
-  options.layout = Layout::kColumn;
-  ASSERT_OK(MergeIntoReadStore(dir.path(), "", "zgen1", &wos, options)
-                .status());
-  for (int i = 300; i < 400; ++i) {
-    ASSERT_OK(wos.Insert(Row(i, i % 1000).data()));
+  std::vector<std::vector<uint8_t>> tuples;
+  static const char* kTags[] = {"AAAA", "BBBB", "CCCC", "DDDD"};
+  for (int i = 0; i < 5000; ++i) {
+    std::vector<uint8_t> t(12);
+    StoreLE32s(t.data(), 3 * i);
+    StoreLE32s(t.data() + 4, (i * 37) % 1000);
+    std::memcpy(t.data() + 8, kTags[i % 7 % 4], 4);
+    tuples.push_back(std::move(t));
   }
+  TempDir dir;
+  // Small pages so every layout spans many of them.
+  ASSERT_OK(LoadLayouts(dir.path(), "t", *schema, tuples, {layout}, 1024));
   ASSERT_OK_AND_ASSIGN(
-      TableMeta meta,
-      MergeIntoReadStore(dir.path(), "zgen1", "zgen2", &wos, options));
-  EXPECT_EQ(meta.num_tuples, 400u);
-  ASSERT_OK_AND_ASSIGN(OpenTable table, OpenTable::Open(dir.path(), "zgen2"));
-  ASSERT_OK_AND_ASSIGN(auto tuples, ReadAllTuples(table));
-  for (int i = 0; i < 400; ++i) {
-    EXPECT_EQ(LoadLE32s(tuples[static_cast<size_t>(i)].data()), i);
-  }
+      OpenTable table,
+      OpenTable::Open(dir.path(), std::string("t") + LayoutSuffix(layout)));
+  ASSERT_GT(table.meta().file_pages[0], 1u);
+  ASSERT_OK_AND_ASSIGN(auto read, ReadAllTuples(table));
+  EXPECT_EQ(read, tuples);
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    LayoutsAndCodecs, ReadAllTuplesTest,
+    ::testing::Combine(::testing::Values(Layout::kRow, Layout::kColumn,
+                                         Layout::kPax),
+                       ::testing::Bool()));
 
 }  // namespace
 }  // namespace rodb

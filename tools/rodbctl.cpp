@@ -66,7 +66,6 @@
 #include "storage/table_files.h"
 #include "wos/ingest_store.h"
 #include "wos/manifest.h"
-#include "wos/merge.h"
 
 using namespace rodb;  // NOLINT
 

@@ -40,3 +40,11 @@ rodb_bench(block_cache_bench)
 rodb_bench(server_concurrency)
 rodb_bench(ingest_merge)
 rodb_bench(ingest_soak)
+
+# Golden check over the figure benches' stdout (bench/golden/).
+add_test(NAME figure_golden_test
+  COMMAND ${CMAKE_COMMAND}
+    -DBENCH_BIN_DIR=${CMAKE_BINARY_DIR}/bench
+    -DGOLDEN_DIR=${CMAKE_SOURCE_DIR}/bench/golden
+    -DWORK_DIR=${CMAKE_BINARY_DIR}/figure_golden
+    -P ${CMAKE_SOURCE_DIR}/bench/golden/check_figures.cmake)

@@ -1,70 +1,28 @@
 #include "engine/column_scanner.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstring>
 
 #include "common/bytes.h"
 #include "common/macros.h"
-#include "engine/scanner_io.h"
 #include "obs/span.h"
 
 namespace rodb {
 
 ColumnScanner::ColumnScanner(const OpenTable* table, ScanSpec spec,
-                             IoBackend* backend, ExecStats* stats,
-                             BlockLayout layout)
-    : table_(table), spec_(std::move(spec)), backend_(backend), stats_(stats),
+                             ExecStats* stats, BlockLayout layout)
+    : table_(table), spec_(std::move(spec)), stats_(stats),
       layout_(std::move(layout)) {}
 
 Result<OperatorPtr> ColumnScanner::Make(const OpenTable* table, ScanSpec spec,
                                         IoBackend* backend,
                                         ExecStats* stats) {
-  if (table == nullptr || backend == nullptr || stats == nullptr) {
-    return Status::InvalidArgument("ColumnScanner: null dependency");
-  }
-  if (table->meta().layout != Layout::kColumn) {
-    return Status::InvalidArgument(
-        "ColumnScanner requires a column-layout table");
-  }
+  RODB_RETURN_IF_ERROR(
+      ValidateScanSpec(table, spec, Layout::kColumn, backend, stats));
   const Schema& schema = table->schema();
-  if (spec.projection.empty()) {
-    return Status::InvalidArgument("scan projection must not be empty");
-  }
-  for (int attr : spec.projection) {
-    if (attr < 0 || static_cast<size_t>(attr) >= schema.num_attributes()) {
-      return Status::OutOfRange("projection attribute out of range");
-    }
-  }
-  for (const Predicate& pred : spec.predicates) {
-    if (pred.attr_index() < 0 ||
-        static_cast<size_t>(pred.attr_index()) >= schema.num_attributes()) {
-      return Status::OutOfRange("predicate attribute out of range");
-    }
-  }
-  if (spec.read.io_unit_bytes % table->meta().page_size != 0) {
-    return Status::InvalidArgument(
-        "I/O unit must be a multiple of the page size");
-  }
-  RODB_RETURN_IF_ERROR(spec.range.Validate(Layout::kColumn));
-  if (!spec.range.is_all()) {
-    // Position ranges map onto each file's pages via O(1) arithmetic,
-    // which needs every involved file to pack pages uniformly (codecs
-    // can end pages early; the bulk loader records whether they did).
-    for (size_t attr : ScanPipelineAttrs(spec)) {
-      if (table->meta().PageValues(attr) == 0) {
-        return Status::NotSupported(
-            "position-range scan needs uniform page value counts "
-            "(attribute " + std::to_string(attr) + " is non-uniform)");
-      }
-    }
-  }
-
   BlockLayout layout = BlockLayout::FromSchema(schema, spec.projection);
   std::unique_ptr<ColumnScanner> scanner(new ColumnScanner(
-      table, std::move(spec), backend, stats, std::move(layout)));
-  scanner->backend_ = ScanBackendStack(backend, scanner->spec_, stats,
-                                       &scanner->owned_backends_);
+      table, std::move(spec), stats, std::move(layout)));
   const ScanSpec& s = scanner->spec_;
 
   // Pipeline order: one node per distinct predicate attribute (in
@@ -74,7 +32,7 @@ Result<OperatorPtr> ColumnScanner::Make(const OpenTable* table, ScanSpec spec,
   int filled = 0;
   int max_value_width = 1;
   for (size_t k = 0; k < pipeline_attrs.size(); ++k) {
-    Node node;
+    Node node(PageSource(table, pipeline_attrs[k], s, backend, stats));
     node.attr = pipeline_attrs[k];
     const auto proj_it =
         std::find(s.projection.begin(), s.projection.end(),
@@ -171,45 +129,13 @@ Status ColumnScanner::Open() {
     for (Node& node : nodes_) node.eof = true;
     return Status::OK();
   }
-  const bool ranged = start > 0 || end_row_ < total;
-  const size_t page_size = table_->meta().page_size;
+  if (spec_.range.is_all()) end_row_ = UINT64_MAX;
   plan_ = BuildPrunePlan(*table_, spec_);
   plan_.AddCountersTo(&stats_->counters());
-  if (plan_.active) {
-    // One gapped stream per pipeline node, carrying only the page runs
-    // the plan retained for that node's file.
-    RODB_CHECK(plan_.nodes.size() == nodes_.size());
-    for (size_t k = 0; k < nodes_.size(); ++k) {
-      Node& node = nodes_[k];
-      node.prune = &plan_.nodes[k];
-      IoOptions options =
-          ScanStreamOptions(spec_, stats_, *table_, node.attr);
-      RODB_ASSIGN_OR_RETURN(
-          node.stream,
-          OpenMultiRunStream(backend_, table_->FilePath(node.attr), options,
-                             ByteRunsForPages(node.prune->page_runs,
-                                              page_size,
-                                              table_->FileBytes(node.attr)),
-                             table_->FileBytes(node.attr)));
-    }
-    return Status::OK();
-  }
-  for (Node& node : nodes_) {
-    IoOptions options = ScanStreamOptions(spec_, stats_, *table_, node.attr);
-    if (ranged) {
-      // Each node maps the position range onto its own file's pages
-      // (files disagree on values per page across codecs).
-      const uint64_t vpp = table_->meta().PageValues(node.attr);
-      RODB_CHECK(vpp > 0);  // enforced in Make
-      const uint64_t start_page = start / vpp;
-      const uint64_t last_page = (end_row_ - 1) / vpp;
-      options.start_offset = start_page * page_size;
-      options.length = (last_page - start_page + 1) * page_size;
-      node.page_start_pos = start_page * vpp;
-    }
-    RODB_ASSIGN_OR_RETURN(
-        node.stream,
-        backend_->OpenStream(table_->FilePath(node.attr), options));
+  RODB_CHECK(!plan_.active || plan_.nodes.size() == nodes_.size());
+  for (size_t k = 0; k < nodes_.size(); ++k) {
+    if (plan_.active) nodes_[k].prune = &plan_.nodes[k];
+    RODB_RETURN_IF_ERROR(nodes_[k].source.Open(plan_.retained(k)));
   }
   return Status::OK();
 }
@@ -218,94 +144,27 @@ void ColumnScanner::AccountPage(Node& node) {
   if (!node.page.has_value()) return;
   const uint32_t count = node.page->count();
   if (count == 0) return;
-  // Memory accounting works at cache-line granularity (DESIGN.md
-  // substitution #2): with v values per 128-byte line, touching a fraction
-  // t of the values touches ~1-(1-t)^v of the lines. When most lines are
-  // touched the hardware prefetcher sees a dense sequential pattern and
-  // the page streams; otherwise each touched line is a random miss.
-  const double lines =
-      std::max(1.0, static_cast<double>(table_->meta().page_size) / 128.0);
-  const double t = static_cast<double>(node.touched_in_page) /
-                   static_cast<double>(count);
-  const double values_per_line = static_cast<double>(count) / lines;
-  const double touched_lines =
-      lines * (1.0 - std::pow(1.0 - std::min(1.0, t), values_per_line));
-  if (touched_lines >= 0.5 * lines) {
-    stats_->AddSequentialBytes(table_->meta().page_size);
-  } else {
-    stats_->AddRandomTouches(static_cast<uint64_t>(touched_lines));
-  }
+  AccountTouchedLines(stats_, table_->meta().page_size, node.touched_in_page,
+                      count);
 }
 
 Status ColumnScanner::AdvanceNodePage(Node& node) {
   AccountPage(node);
-  if (node.page.has_value()) {
-    node.page_start_pos += node.page->count();
-    node.page.reset();
-  }
+  node.page.reset();
   while (true) {
-    // Page-boundary liveness check: a cancelled or expired query stops
-    // within one page's worth of work.
-    RODB_RETURN_IF_ERROR(stats_->CheckAlive());
-    if (node.page_in_view >= node.pages_in_view) {
-      {
-        obs::SpanTimer io_span(stats_->trace(), obs::TracePhase::kIo);
-        RODB_ASSIGN_OR_RETURN(node.view, node.stream->Next());
-      }
-      if (node.view.size == 0) {
-        node.eof = true;
-        return Status::OK();
-      }
-      node.pages_in_view = node.view.size / table_->meta().page_size;
-      node.page_in_view = 0;
-      if (node.pages_in_view == 0) {
-        return Status::Corruption("I/O unit smaller than one page");
-      }
+    RODB_ASSIGN_OR_RETURN(const PageView* page, node.source.Next());
+    if (page == nullptr) {
+      node.eof = true;
+      return Status::OK();
     }
-    if (node.prune != nullptr) {
-      // Views from a pruned (gapped) stream carry their absolute file
-      // offset; recover the page's first value position from it.
-      const uint64_t file_page =
-          node.view.file_offset / table_->meta().page_size +
-          node.page_in_view;
-      node.page_start_pos = file_page * node.prune->vpp;
-    }
-    const uint8_t* page_data =
-        node.view.data + node.page_in_view * table_->meta().page_size;
-    ++node.page_in_view;
     RODB_ASSIGN_OR_RETURN(ColumnPageReader reader,
-                          ColumnPageReader::Open(page_data,
-                                                 table_->meta().page_size,
-                                                 node.codec.get(),
-                                                 spec_.read.verify_checksums));
-    stats_->counters().pages_parsed += 1;
-    node.pages_read += 1;
+                          ColumnPageReader::Open(*page, node.codec.get()));
+    node.page_start_pos = node.source.first_pos();
     node.page.emplace(reader);
     node.consumed_in_page = 0;
     node.touched_in_page = 0;
     if (node.page->count() > 0) return Status::OK();
     node.page.reset();
-  }
-}
-
-void ColumnScanner::CountDecode(const Node& node, uint64_t n) {
-  ExecCounters& c = stats_->counters();
-  switch (node.codec_kind) {
-    case CompressionKind::kBitPack:
-      c.values_decoded_bitpack += n;
-      break;
-    case CompressionKind::kDict:
-    case CompressionKind::kCharPack:
-      c.values_decoded_dict += n;
-      break;
-    case CompressionKind::kFor:
-      c.values_decoded_for += n;
-      break;
-    case CompressionKind::kForDelta:
-      c.values_decoded_fordelta += n;
-      break;
-    case CompressionKind::kNone:
-      break;
   }
 }
 
@@ -335,7 +194,7 @@ Status ColumnScanner::SeekTo(Node& node, uint64_t pos) {
     if (node.codec_kind == CompressionKind::kForDelta) {
       // FOR-delta decodes everything it passes over.
       node.touched_in_page += skip;
-      CountDecode(node, skip);
+      CountDecode(&stats_->counters(), node.codec_kind, skip);
     }
   }
   return Status::OK();
@@ -346,7 +205,7 @@ Status ColumnScanner::FetchValueAt(Node& node, uint64_t pos, uint8_t* out) {
   node.page->DecodeNext(out);
   node.consumed_in_page += 1;
   node.touched_in_page += 1;
-  CountDecode(node, 1);
+  CountDecode(&stats_->counters(), node.codec_kind, 1);
   return Status::OK();
 }
 
@@ -369,40 +228,6 @@ bool ColumnScanner::EvalCodePreds(const Node& node, uint32_t code) {
   return true;
 }
 
-bool ColumnScanner::BindNodePreds(Node& node) {
-  // Binding is page-invariant except for FOR, whose key domain shifts with
-  // the per-page base -- re-bind those on every page.
-  if (!node.packed_preds.empty() &&
-      node.codec_kind != CompressionKind::kFor) {
-    return true;
-  }
-  node.packed_preds.clear();
-  node.packed_preds.reserve(node.preds.size());
-  for (const Predicate& pred : node.preds) {
-    kernels::PackedPredicate packed;
-    bool ok;
-    if (pred.is_text()) {
-      ok = node.codec->BindPredicate(
-          pred.op(),
-          reinterpret_cast<const uint8_t*>(pred.text_operand().data()),
-          pred.text_operand().size(), /*is_text=*/true, &packed);
-    } else {
-      uint8_t operand[4];
-      StoreLE32s(operand, pred.int_operand());
-      ok = node.codec->BindPredicate(pred.op(), operand, sizeof(operand),
-                                     /*is_text=*/false, &packed);
-    }
-    if (!ok) {
-      // Bindability does not depend on the page; stop probing.
-      node.packed_preds.clear();
-      node.try_kernel = false;
-      return false;
-    }
-    node.packed_preds.push_back(std::move(packed));
-  }
-  return true;
-}
-
 void ColumnScanner::BuildPageMask(Node& node) {
   ExecCounters& c = stats_->counters();
   const uint32_t count = node.page->count();
@@ -415,7 +240,7 @@ void ColumnScanner::BuildPageMask(Node& node) {
     // vectorized compare over the materialized keys.
     node.batch_scratch.resize(limit * static_cast<size_t>(node.value_width));
     node.page->DecodeBatch(limit, node.batch_scratch.data());
-    CountDecode(node, limit);
+    CountDecode(&c, node.codec_kind, limit);
     uint32_t keys[256];
     for (size_t p = 0; p < node.packed_preds.size(); ++p) {
       kernels::BitVector* sel = &node.page_mask;
@@ -492,7 +317,7 @@ void ColumnScanner::EmitFromMask(Node& node, TupleBlock& out) {
         if (gap > 0) node.page->SkipValues(gap);
         node.page->DecodeNext(value);
         node.consumed_in_page = idx + 1;
-        CountDecode(node, 1);
+        CountDecode(&c, node.codec_kind, 1);
       }
       std::memcpy(slot + layout_.offsets[static_cast<size_t>(node.out_col)],
                   value, static_cast<size_t>(node.value_width));
@@ -532,36 +357,21 @@ Status ColumnScanner::ProduceBase(Node& node) {
     if (!node.page.has_value() ||
         node.consumed_in_page >= node.page->count()) {
       RODB_RETURN_IF_ERROR(AdvanceNodePage(node));
-      if (node.eof) {
-        if (node.prune != nullptr) {
-          // A pruned stream ends after the last retained page, not at
-          // end_row_; completeness means every retained page arrived.
-          if (node.pages_read != node.prune->pages) {
-            return Status::Corruption(
-                "pruned column " + std::to_string(node.attr) + " scan read " +
-                std::to_string(node.pages_read) + " of " +
-                std::to_string(node.prune->pages) + " retained pages");
-          }
-          break;
-        }
-        // The stream must not end before the scanned position range does:
-        // a truncated column file has to fail, not return fewer rows.
-        if (node.page_start_pos < end_row_) {
-          return Status::Corruption(
-              "column " + std::to_string(node.attr) +
-              " ended at position " + std::to_string(node.page_start_pos) +
-              " before the scan range end " + std::to_string(end_row_));
-        }
-        break;
-      }
+      if (node.eof) break;
     }
     // Kernel path: filter the whole page into a selection mask, then emit
     // survivors. Pages entered mid-way (unaligned morsel start) and
     // unbindable predicates fall back to the scalar loop below.
     if (node.try_kernel && node.consumed_in_page == 0 &&
-        node.page_start_pos < end_row_ && BindNodePreds(node)) {
-      BuildPageMask(node);
-      continue;
+        node.page_start_pos < end_row_) {
+      // Bindability does not depend on the page: one failure disables the
+      // kernel path for the rest of the scan.
+      node.try_kernel =
+          BindPackedPredicates(*node.codec, node.preds, &node.packed_preds);
+      if (node.try_kernel) {
+        BuildPageMask(node);
+        continue;
+      }
     }
     const uint64_t pos = node.page_start_pos + node.consumed_in_page;
     if (pos >= end_row_) {
@@ -588,7 +398,7 @@ Status ColumnScanner::ProduceBase(Node& node) {
       node.page->DecodeNext(value);
       node.consumed_in_page += 1;
       node.touched_in_page += 1;
-      CountDecode(node, 1);
+      CountDecode(&c, node.codec_kind, 1);
       have_value = true;
       for (const Predicate& pred : node.preds) {
         c.predicate_evals += 1;
@@ -719,7 +529,7 @@ Result<TupleBlock*> ColumnScanner::Next() {
 void ColumnScanner::Close() {
   stats_->FoldIo();
   for (Node& node : nodes_) {
-    node.stream.reset();
+    node.source.Close();
     node.page.reset();
   }
 }

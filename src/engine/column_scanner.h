@@ -7,10 +7,10 @@
 
 #include "engine/exec_stats.h"
 #include "engine/operator.h"
-#include "engine/scan_spec.h"
-#include "engine/zone_pruner.h"
-#include "io/io.h"
 #include "compression/dictionary.h"
+#include "engine/page_source.h"
+#include "engine/scan_spec.h"
+#include "io/io.h"
 #include "storage/catalog.h"
 #include "storage/column_page.h"
 
@@ -43,6 +43,8 @@ class ColumnScanner final : public Operator {
 
  private:
   struct Node {
+    explicit Node(PageSource page_source) : source(std::move(page_source)) {}
+
     size_t attr = 0;                  ///< table attribute index
     int out_col = -1;                 ///< column in the output block, or -1
     std::vector<Predicate> preds;     ///< predicates evaluated at this node
@@ -50,10 +52,9 @@ class ColumnScanner final : public Operator {
     CompressionKind codec_kind = CompressionKind::kNone;
     int value_width = 0;
 
-    std::unique_ptr<SequentialStream> stream;
-    IoView view{};
-    size_t page_in_view = 0;
-    size_t pages_in_view = 0;
+    /// The node's column file: the prune plan's retained runs for it or
+    /// the pages the spec's position range covers.
+    PageSource source;
     std::optional<ColumnPageReader> page;
     uint64_t page_start_pos = 0;  ///< absolute index of first value in page
     uint64_t consumed_in_page = 0;
@@ -61,12 +62,9 @@ class ColumnScanner final : public Operator {
     bool eof = false;
 
     /// This node's slice of the scan's prune plan (null when pruning is
-    /// inactive). The stream then carries only prune->page_runs;
-    /// page_start_pos is recovered from each view's file offset, and
-    /// ProcessNode zone-rejects positions outside prune->accept without
-    /// touching the stream.
+    /// inactive): ProcessNode zone-rejects positions outside
+    /// prune->accept without touching the stream.
     const NodePrunePlan* prune = nullptr;
-    uint64_t pages_read = 0;  ///< pages delivered (pruned completeness check)
 
     /// Compressed-eval fast path: =/!= predicates on dictionary columns
     /// compare codes and materialize values only when needed.
@@ -101,8 +99,8 @@ class ColumnScanner final : public Operator {
     int filled_bytes = 0;
   };
 
-  ColumnScanner(const OpenTable* table, ScanSpec spec, IoBackend* backend,
-                ExecStats* stats, BlockLayout layout);
+  ColumnScanner(const OpenTable* table, ScanSpec spec, ExecStats* stats,
+                BlockLayout layout);
 
   /// Finishes memory accounting for the node's current page and loads the
   /// next one. Sets node.eof past the last page.
@@ -116,12 +114,7 @@ class ColumnScanner final : public Operator {
   Status FetchCodeAt(Node& node, uint64_t pos, uint32_t* code);
   /// Evaluates a node's code predicates against `code`.
   bool EvalCodePreds(const Node& node, uint32_t code);
-  void CountDecode(const Node& node, uint64_t n);
 
-  /// Binds the node's predicates into packed form for the current page
-  /// (FOR bindings depend on the page base and re-bind per page). Returns
-  /// false when any predicate cannot run packed -- scalar fallback.
-  bool BindNodePreds(Node& node);
   /// Evaluates the node's packed predicates over the freshly opened page
   /// into node.page_mask; leaves the page reader rewound to value 0.
   void BuildPageMask(Node& node);
@@ -137,10 +130,6 @@ class ColumnScanner final : public Operator {
 
   const OpenTable* table_;
   ScanSpec spec_;
-  IoBackend* backend_;
-  /// CachingBackend wrapped around the borrowed backend when the spec
-  /// carries a block cache (backend_ then points at it).
-  std::vector<std::unique_ptr<IoBackend>> owned_backends_;
   ExecStats* stats_;
   BlockLayout layout_;
   std::vector<Node> nodes_;
@@ -148,7 +137,9 @@ class ColumnScanner final : public Operator {
   bool opened_ = false;
   bool done_ = false;
   /// Scan stops at this absolute position (set from the spec's position
-  /// range in Open; num_tuples for a whole-table scan).
+  /// range in Open). A whole-table scan is bounded by the driving file's
+  /// end instead, where its PageSource checks the file holds exactly the
+  /// catalog's tuples.
   uint64_t end_row_ = UINT64_MAX;
   /// Whether the deepest node has skipped ahead to spec_.range.first_row().
   bool base_positioned_ = false;

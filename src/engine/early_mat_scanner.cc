@@ -1,67 +1,38 @@
 #include "engine/early_mat_scanner.h"
 
 #include <algorithm>
+#include <cstring>
 
 #include "common/macros.h"
-#include "engine/scanner_io.h"
 #include "obs/span.h"
 
 namespace rodb {
 
 EarlyMatColumnScanner::EarlyMatColumnScanner(const OpenTable* table,
-                                             ScanSpec spec,
-                                             IoBackend* backend,
-                                             ExecStats* stats,
+                                             ScanSpec spec, ExecStats* stats,
                                              BlockLayout layout)
-    : table_(table), spec_(std::move(spec)), backend_(backend), stats_(stats),
+    : table_(table), spec_(std::move(spec)), stats_(stats),
       block_(std::move(layout), spec_.block_tuples) {}
 
 Result<OperatorPtr> EarlyMatColumnScanner::Make(const OpenTable* table,
                                                 ScanSpec spec,
                                                 IoBackend* backend,
                                                 ExecStats* stats) {
-  if (table == nullptr || backend == nullptr || stats == nullptr) {
-    return Status::InvalidArgument("EarlyMatColumnScanner: null dependency");
-  }
-  if (table->meta().layout != Layout::kColumn) {
-    return Status::InvalidArgument(
-        "EarlyMatColumnScanner requires a column-layout table");
-  }
-  const Schema& schema = table->schema();
-  if (spec.projection.empty()) {
-    return Status::InvalidArgument("scan projection must not be empty");
-  }
-  for (int attr : spec.projection) {
-    if (attr < 0 || static_cast<size_t>(attr) >= schema.num_attributes()) {
-      return Status::OutOfRange("projection attribute out of range");
-    }
-  }
-  for (const Predicate& pred : spec.predicates) {
-    if (pred.attr_index() < 0 ||
-        static_cast<size_t>(pred.attr_index()) >= schema.num_attributes()) {
-      return Status::OutOfRange("predicate attribute out of range");
-    }
-  }
-  if (spec.read.io_unit_bytes % table->meta().page_size != 0) {
-    return Status::InvalidArgument(
-        "I/O unit must be a multiple of the page size");
-  }
-  RODB_RETURN_IF_ERROR(spec.range.Validate(Layout::kColumn));
+  RODB_RETURN_IF_ERROR(
+      ValidateScanSpec(table, spec, Layout::kColumn, backend, stats));
   if (!spec.range.is_all()) {
-    // The lockstep cursors have no position-seek machinery; this scanner
-    // exists as a whole-table ablation, not a morsel worker.
+    // This scanner exists as a whole-table ablation, not a morsel worker.
     return Status::NotSupported(
         "early-materialized scans read the whole table (no ranges)");
   }
+  const Schema& schema = table->schema();
   BlockLayout layout = BlockLayout::FromSchema(schema, spec.projection);
   std::unique_ptr<EarlyMatColumnScanner> scanner(new EarlyMatColumnScanner(
-      table, std::move(spec), backend, stats, std::move(layout)));
-  scanner->backend_ = ScanBackendStack(backend, scanner->spec_, stats,
-                                       &scanner->owned_backends_);
+      table, std::move(spec), stats, std::move(layout)));
   const ScanSpec& s = scanner->spec_;
   int max_width = 1;
   for (size_t attr : ScanPipelineAttrs(s)) {
-    Cursor cursor;
+    Cursor cursor(PageSource(table, attr, s, backend, stats));
     cursor.attr = attr;
     const auto it = std::find(s.projection.begin(), s.projection.end(),
                               static_cast<int>(attr));
@@ -85,106 +56,42 @@ Result<OperatorPtr> EarlyMatColumnScanner::Make(const OpenTable* table,
 
 Status EarlyMatColumnScanner::Open() {
   if (opened_) return Status::OK();
-  plan_ = BuildPrunePlan(*table_, spec_);
-  plan_.AddCountersTo(&stats_->counters());
+  const PrunePlan plan = BuildPrunePlan(*table_, spec_);
+  plan.AddCountersTo(&stats_->counters());
+  runs_ = plan.active ? plan.global
+                      : std::vector<Run>{Run{0, table_->meta().num_tuples}};
   for (Cursor& cursor : cursors_) {
-    const IoOptions options =
-        ScanStreamOptions(spec_, stats_, *table_, cursor.attr);
-    if (plan_.active) {
-      // Lockstep iteration only visits the surviving positions, so every
-      // cursor streams exactly the pages of its file overlapping them.
-      cursor.vpp = table_->meta().PageValues(cursor.attr);
-      RODB_ASSIGN_OR_RETURN(
-          cursor.stream,
-          OpenMultiRunStream(
-              backend_, table_->FilePath(cursor.attr), options,
-              ByteRunsForPages(PageRunsForPositions(plan_.global, cursor.vpp),
-                               table_->meta().page_size,
-                               table_->FileBytes(cursor.attr)),
-              table_->FileBytes(cursor.attr)));
-      continue;
+    // Lockstep iteration only visits the runs' positions, so a pruned
+    // cursor streams exactly the pages of its file overlapping them.
+    std::vector<Run> retained;
+    if (plan.active) {
+      retained = PageRunsForPositions(
+          runs_, table_->meta().PageValues(cursor.attr));
     }
-    RODB_ASSIGN_OR_RETURN(
-        cursor.stream,
-        backend_->OpenStream(table_->FilePath(cursor.attr), options));
+    RODB_RETURN_IF_ERROR(
+        cursor.source.Open(plan.active ? &retained : nullptr));
   }
   opened_ = true;
   return Status::OK();
 }
 
-void EarlyMatColumnScanner::CountDecode(const Cursor& cursor, uint64_t n) {
-  ExecCounters& c = stats_->counters();
-  switch (cursor.kind) {
-    case CompressionKind::kBitPack:
-      c.values_decoded_bitpack += n;
-      break;
-    case CompressionKind::kDict:
-    case CompressionKind::kCharPack:
-      c.values_decoded_dict += n;
-      break;
-    case CompressionKind::kFor:
-      c.values_decoded_for += n;
-      break;
-    case CompressionKind::kForDelta:
-      c.values_decoded_fordelta += n;
-      break;
-    case CompressionKind::kNone:
-      break;
-  }
-}
-
 Status EarlyMatColumnScanner::AdvancePage(Cursor& cursor) {
   while (true) {
-    // Page-boundary liveness check: a cancelled or expired query stops
-    // within one page's worth of work.
-    RODB_RETURN_IF_ERROR(stats_->CheckAlive());
-    if (cursor.page_in_view >= cursor.pages_in_view) {
-      {
-        obs::SpanTimer io_span(stats_->trace(), obs::TracePhase::kIo);
-        RODB_ASSIGN_OR_RETURN(cursor.view, cursor.stream->Next());
-      }
-      if (cursor.view.size == 0) {
-        cursor.eof = true;
-        return Status::OK();
-      }
-      cursor.pages_in_view = cursor.view.size / table_->meta().page_size;
-      cursor.page_in_view = 0;
-      if (cursor.pages_in_view == 0) {
-        return Status::Corruption("I/O unit smaller than one page");
-      }
+    RODB_ASSIGN_OR_RETURN(const PageView* page, cursor.source.Next());
+    if (page == nullptr) {
+      cursor.eof = true;
+      return Status::OK();
     }
-    if (plan_.active) {
-      // Views from a pruned (gapped) stream carry their absolute file
-      // offset; recover the page's first value position from it.
-      const uint64_t file_page =
-          cursor.view.file_offset / table_->meta().page_size +
-          cursor.page_in_view;
-      cursor.page_start_pos = file_page * cursor.vpp;
-    }
-    const uint8_t* page_data =
-        cursor.view.data + cursor.page_in_view * table_->meta().page_size;
-    ++cursor.page_in_view;
-    RODB_ASSIGN_OR_RETURN(
-        ColumnPageReader reader,
-        ColumnPageReader::Open(page_data, table_->meta().page_size,
-                               cursor.codec.get(),
-                               spec_.read.verify_checksums));
-    stats_->counters().pages_parsed += 1;
+    RODB_ASSIGN_OR_RETURN(ColumnPageReader reader,
+                          ColumnPageReader::Open(*page, cursor.codec.get()));
     // Every column streams fully under early materialization.
     stats_->AddSequentialBytes(table_->meta().page_size);
+    cursor.page_start_pos = cursor.source.first_pos();
     cursor.page.emplace(reader);
     cursor.consumed_in_page = 0;
     if (cursor.page->count() > 0) return Status::OK();
     cursor.page.reset();
   }
-}
-
-Status EarlyMatColumnScanner::EnsureValue(Cursor& cursor) {
-  if (!cursor.page.has_value() ||
-      cursor.consumed_in_page >= cursor.page->count()) {
-    RODB_RETURN_IF_ERROR(AdvancePage(cursor));
-  }
-  return Status::OK();
 }
 
 Status EarlyMatColumnScanner::SeekCursor(Cursor& cursor, uint64_t pos) {
@@ -194,9 +101,9 @@ Status EarlyMatColumnScanner::SeekCursor(Cursor& cursor, uint64_t pos) {
     RODB_RETURN_IF_ERROR(AdvancePage(cursor));
   }
   if (cursor.eof) {
-    return Status::Corruption(
-        "pruned column " + std::to_string(cursor.attr) +
-        " ended before surviving position " + std::to_string(pos));
+    return Status::Corruption("column " + std::to_string(cursor.attr) +
+                              " ended before position " +
+                              std::to_string(pos));
   }
   RODB_CHECK(pos >= cursor.page_start_pos);
   const uint64_t in_page = pos - cursor.page_start_pos;
@@ -206,24 +113,36 @@ Status EarlyMatColumnScanner::SeekCursor(Cursor& cursor, uint64_t pos) {
     cursor.page->SkipValues(skip);
     cursor.consumed_in_page += skip;
     // FOR-delta decodes everything it passes over.
-    if (cursor.kind == CompressionKind::kForDelta) CountDecode(cursor, skip);
+    if (cursor.kind == CompressionKind::kForDelta) {
+      CountDecode(&stats_->counters(), cursor.kind, skip);
+    }
   }
   return Status::OK();
 }
 
-Result<TupleBlock*> EarlyMatColumnScanner::NextPruned() {
+Result<TupleBlock*> EarlyMatColumnScanner::Next() {
+  if (!opened_) {
+    return Status::InvalidArgument("EarlyMatColumnScanner not opened");
+  }
+  obs::SpanTimer scan_span(stats_->trace(), obs::TracePhase::kScan);
   ExecCounters& c = stats_->counters();
   const BlockLayout& layout = block_.layout();
   uint8_t* value = value_scratch_.data();
   block_.Clear();
-  while (!block_.full() && run_idx_ < plan_.global.size()) {
-    const Run& run = plan_.global[run_idx_];
+  while (!block_.full()) {
+    if (run_idx_ == runs_.size()) {
+      // Past the last run the driving column must hold nothing more the
+      // scan should have seen: a whole-table scan of a file with values
+      // beyond the catalog's num_tuples fails here.
+      RODB_RETURN_IF_ERROR(cursors_[0].source.Finish());
+      break;
+    }
+    const Run& run = runs_[run_idx_];
     if (next_position_ < run.begin) next_position_ = run.begin;
     if (next_position_ >= run.end) {
       ++run_idx_;
       continue;
     }
-    RODB_RETURN_IF_ERROR(stats_->CheckAlive());
     const uint64_t position = next_position_++;
     c.tuples_examined += 1;
     bool pass = true;
@@ -232,81 +151,12 @@ Result<TupleBlock*> EarlyMatColumnScanner::NextPruned() {
     uint8_t* slot = block_.tuple(block_.size());
     for (Cursor& cursor : cursors_) {
       RODB_RETURN_IF_ERROR(SeekCursor(cursor, position));
-      cursor.page->DecodeNext(value);
-      cursor.consumed_in_page += 1;
-      CountDecode(cursor, 1);
-      if (pass) {
-        for (const Predicate& pred : cursor.preds) {
-          c.predicate_evals += 1;
-          if (!pred.Eval(value)) {
-            pass = false;
-            break;
-          }
-        }
-      }
-      if (pass && cursor.out_col >= 0) {
-        std::memcpy(
-            slot + layout.offsets[static_cast<size_t>(cursor.out_col)],
-            value, static_cast<size_t>(cursor.width));
-        c.values_copied += 1;
-        c.bytes_copied += static_cast<uint64_t>(cursor.width);
-      }
-    }
-    if (pass) {
-      block_.AppendSlot();  // slot was filled in place
-      block_.set_position(block_.size() - 1, position);
-    }
-  }
-  if (block_.empty()) {
-    stats_->FoldIo();
-    return static_cast<TupleBlock*>(nullptr);
-  }
-  c.blocks_emitted += 1;
-  return &block_;
-}
-
-Result<TupleBlock*> EarlyMatColumnScanner::Next() {
-  if (!opened_) {
-    return Status::InvalidArgument("EarlyMatColumnScanner not opened");
-  }
-  obs::SpanTimer scan_span(stats_->trace(), obs::TracePhase::kScan);
-  if (plan_.active) return NextPruned();
-  ExecCounters& c = stats_->counters();
-  const BlockLayout& layout = block_.layout();
-  uint8_t* value = value_scratch_.data();
-  block_.Clear();
-  while (!block_.full()) {
-    // Row-at-a-time over all cursors in lockstep.
-    RODB_RETURN_IF_ERROR(EnsureValue(cursors_[0]));
-    if (cursors_[0].eof) {
-      // The driving column must deliver every tuple the catalog promised;
-      // a truncated file has to fail, not return fewer rows.
-      if (next_position_ < table_->meta().num_tuples) {
-        return Status::Corruption(
-            "column " + std::to_string(cursors_[0].attr) +
-            " ended after " + std::to_string(next_position_) +
-            " of " + std::to_string(table_->meta().num_tuples) + " tuples");
-      }
-      break;
-    }
-    c.tuples_examined += 1;
-    const uint64_t position = next_position_++;
-    bool pass = true;
-    // Values are written directly into the next (not yet appended) slot;
-    // the slot only becomes part of the block if the row qualifies.
-    uint8_t* slot = block_.tuple(block_.size());
-    for (Cursor& cursor : cursors_) {
-      RODB_RETURN_IF_ERROR(EnsureValue(cursor));
-      if (cursor.eof) {
-        return Status::Corruption("column " + std::to_string(cursor.attr) +
-                                  " shorter than the table");
-      }
       // Every selected column is decoded for every row -- the defining
       // behaviour of the single-iterator organization ("iterating over
       // entire rows, similarly to a row store").
       cursor.page->DecodeNext(value);
       cursor.consumed_in_page += 1;
-      CountDecode(cursor, 1);
+      CountDecode(&c, cursor.kind, 1);
       if (pass) {
         for (const Predicate& pred : cursor.preds) {
           c.predicate_evals += 1;
@@ -340,7 +190,7 @@ Result<TupleBlock*> EarlyMatColumnScanner::Next() {
 void EarlyMatColumnScanner::Close() {
   stats_->FoldIo();
   for (Cursor& cursor : cursors_) {
-    cursor.stream.reset();
+    cursor.source.Close();
     cursor.page.reset();
   }
 }

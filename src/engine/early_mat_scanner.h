@@ -7,8 +7,8 @@
 
 #include "engine/exec_stats.h"
 #include "engine/operator.h"
+#include "engine/page_source.h"
 #include "engine/scan_spec.h"
-#include "engine/zone_pruner.h"
 #include "io/io.h"
 #include "storage/catalog.h"
 #include "storage/column_page.h"
@@ -43,6 +43,9 @@ class EarlyMatColumnScanner final : public Operator {
 
  private:
   struct Cursor {
+    explicit Cursor(PageSource page_source)
+        : source(std::move(page_source)) {}
+
     size_t attr = 0;
     int out_col = -1;                 ///< output block column, or -1
     std::vector<Predicate> preds;
@@ -50,52 +53,37 @@ class EarlyMatColumnScanner final : public Operator {
     CompressionKind kind = CompressionKind::kNone;
     int width = 0;
 
-    std::unique_ptr<SequentialStream> stream;
-    IoView view{};
-    size_t page_in_view = 0;
-    size_t pages_in_view = 0;
+    /// The cursor's column file: the pages overlapping the scan's
+    /// position runs.
+    PageSource source;
     std::optional<ColumnPageReader> page;
+    uint64_t page_start_pos = 0;  ///< absolute position of first value
     uint64_t consumed_in_page = 0;
     bool eof = false;
-    /// Pruned scans only: absolute position of the current page's first
-    /// value (recovered from the view's file offset) and the file's
-    /// values per full page.
-    uint64_t page_start_pos = 0;
-    uint32_t vpp = 0;
   };
 
   EarlyMatColumnScanner(const OpenTable* table, ScanSpec spec,
-                        IoBackend* backend, ExecStats* stats,
-                        BlockLayout layout);
+                        ExecStats* stats, BlockLayout layout);
 
+  /// Loads the cursor's next non-empty page; sets eof past the last one.
   Status AdvancePage(Cursor& cursor);
-  /// Ensures the cursor has a value available; sets eof at end.
-  Status EnsureValue(Cursor& cursor);
-  /// Pruned scans: positions the cursor at absolute position `pos`
-  /// (advancing pages and skipping within the page as needed).
+  /// Positions the cursor at absolute position `pos` (advancing pages and
+  /// skipping within the page as needed).
   Status SeekCursor(Cursor& cursor, uint64_t pos);
-  /// Pruned scans: lockstep iteration over the plan's surviving position
-  /// runs instead of 0..num_tuples.
-  Result<TupleBlock*> NextPruned();
-  void CountDecode(const Cursor& cursor, uint64_t n);
 
   const OpenTable* table_;
   ScanSpec spec_;
-  IoBackend* backend_;
-  /// CachingBackend wrapped around the borrowed backend when the spec
-  /// carries a block cache (backend_ then points at it).
-  std::vector<std::unique_ptr<IoBackend>> owned_backends_;
   ExecStats* stats_;
   TupleBlock block_;
   std::vector<Cursor> cursors_;
   std::vector<uint8_t> value_scratch_;
-  uint64_t next_position_ = 0;
   bool opened_ = false;
-  /// Zone-map prune plan. When active every cursor streams only the pages
-  /// overlapping plan_.global and iteration walks those position runs;
-  /// positions outside them are zone-proven to fail a predicate.
-  PrunePlan plan_;
-  size_t run_idx_ = 0;  ///< current run in plan_.global (pruned scans)
+  /// The positions the lockstep loop visits: the prune plan's surviving
+  /// runs, or the single run [0, num_tuples) of an unpruned scan.
+  /// Positions outside them are zone-proven to fail a predicate.
+  std::vector<Run> runs_;
+  size_t run_idx_ = 0;          ///< current run in runs_
+  uint64_t next_position_ = 0;  ///< next position to visit
 };
 
 }  // namespace rodb

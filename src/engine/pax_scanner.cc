@@ -1,12 +1,10 @@
 #include "engine/pax_scanner.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstring>
 
 #include "common/bytes.h"
 #include "common/macros.h"
-#include "engine/scanner_io.h"
 #include "obs/span.h"
 
 namespace rodb {
@@ -14,42 +12,18 @@ namespace rodb {
 PaxScanner::PaxScanner(const OpenTable* table, ScanSpec spec,
                        IoBackend* backend, ExecStats* stats,
                        BlockLayout layout)
-    : table_(table), spec_(std::move(spec)), backend_(backend), stats_(stats),
-      block_(std::move(layout), spec_.block_tuples) {}
+    : table_(table), spec_(std::move(spec)), stats_(stats),
+      block_(std::move(layout), spec_.block_tuples),
+      source_(table, 0, spec_, backend, stats) {}
 
 Result<OperatorPtr> PaxScanner::Make(const OpenTable* table, ScanSpec spec,
                                      IoBackend* backend, ExecStats* stats) {
-  if (table == nullptr || backend == nullptr || stats == nullptr) {
-    return Status::InvalidArgument("PaxScanner: null dependency");
-  }
-  if (table->meta().layout != Layout::kPax) {
-    return Status::InvalidArgument("PaxScanner requires a PAX-layout table");
-  }
+  RODB_RETURN_IF_ERROR(
+      ValidateScanSpec(table, spec, Layout::kPax, backend, stats));
   const Schema& schema = table->schema();
-  if (spec.projection.empty()) {
-    return Status::InvalidArgument("scan projection must not be empty");
-  }
-  for (int attr : spec.projection) {
-    if (attr < 0 || static_cast<size_t>(attr) >= schema.num_attributes()) {
-      return Status::OutOfRange("projection attribute out of range");
-    }
-  }
-  for (const Predicate& pred : spec.predicates) {
-    if (pred.attr_index() < 0 ||
-        static_cast<size_t>(pred.attr_index()) >= schema.num_attributes()) {
-      return Status::OutOfRange("predicate attribute out of range");
-    }
-  }
-  if (spec.read.io_unit_bytes % table->meta().page_size != 0) {
-    return Status::InvalidArgument(
-        "I/O unit must be a multiple of the page size");
-  }
-  RODB_RETURN_IF_ERROR(spec.range.Validate(Layout::kPax));
   BlockLayout layout = BlockLayout::FromSchema(schema, spec.projection);
   std::unique_ptr<PaxScanner> scanner(new PaxScanner(
       table, std::move(spec), backend, stats, std::move(layout)));
-  scanner->backend_ = ScanBackendStack(backend, scanner->spec_, stats,
-                                       &scanner->owned_backends_);
   const ScanSpec& s = scanner->spec_;
   int max_width = 1;
   for (size_t a = 0; a < schema.num_attributes(); ++a) {
@@ -98,53 +72,11 @@ Result<OperatorPtr> PaxScanner::Make(const OpenTable* table, ScanSpec spec,
 
 Status PaxScanner::Open() {
   if (opened_) return Status::OK();
-  plan_ = BuildPrunePlan(*table_, spec_);
-  plan_.AddCountersTo(&stats_->counters());
-  IoOptions options = ScanStreamOptions(spec_, stats_, *table_, 0);
-  if (plan_.active) {
-    RODB_ASSIGN_OR_RETURN(
-        stream_,
-        OpenMultiRunStream(backend_, table_->FilePath(0), options,
-                           ByteRunsForPages(plan_.nodes[0].page_runs,
-                                            table_->meta().page_size,
-                                            table_->FileBytes(0)),
-                           table_->FileBytes(0)));
-    opened_ = true;
-    return Status::OK();
-  }
-  options.start_offset = spec_.range.first_page() * table_->meta().page_size;
-  if (spec_.range.num_pages() != UINT64_MAX) {
-    options.length = spec_.range.num_pages() * table_->meta().page_size;
-  }
-  // Absolute tuple positions for partitioned scans, when the page->tuple
-  // mapping is known; otherwise positions are morsel-local (they never
-  // feed the output checksum).
-  page_start_pos_ = spec_.range.first_page() * table_->meta().PageValues(0);
-  RODB_ASSIGN_OR_RETURN(stream_,
-                        backend_->OpenStream(table_->FilePath(0), options));
+  const PrunePlan plan = BuildPrunePlan(*table_, spec_);
+  plan.AddCountersTo(&stats_->counters());
+  RODB_RETURN_IF_ERROR(source_.Open(plan.retained(0)));
   opened_ = true;
   return Status::OK();
-}
-
-void PaxScanner::CountDecode(CompressionKind kind, uint64_t n) {
-  ExecCounters& c = stats_->counters();
-  switch (kind) {
-    case CompressionKind::kBitPack:
-      c.values_decoded_bitpack += n;
-      break;
-    case CompressionKind::kDict:
-    case CompressionKind::kCharPack:
-      c.values_decoded_dict += n;
-      break;
-    case CompressionKind::kFor:
-      c.values_decoded_for += n;
-      break;
-    case CompressionKind::kForDelta:
-      c.values_decoded_fordelta += n;
-      break;
-    case CompressionKind::kNone:
-      break;
-  }
 }
 
 void PaxScanner::AccountPage() {
@@ -153,53 +85,20 @@ void PaxScanner::AccountPage() {
   // scanner): dense minipages stream, sparse ones pay per-line misses.
   for (size_t a = 0; a < touched_.size(); ++a) {
     if (touched_[a] == 0) continue;
-    const double lines = std::max(
-        1.0, static_cast<double>(geometry_.minipage_bytes[a]) / 128.0);
-    const double t = std::min(
-        1.0, static_cast<double>(touched_[a]) / page_count_);
-    const double per_line = static_cast<double>(page_count_) / lines;
-    const double touched_lines =
-        lines * (1.0 - std::pow(1.0 - t, per_line));
-    if (touched_lines >= 0.5 * lines) {
-      stats_->AddSequentialBytes(geometry_.minipage_bytes[a]);
-    } else {
-      stats_->AddRandomTouches(static_cast<uint64_t>(touched_lines));
-    }
+    AccountTouchedLines(stats_, geometry_.minipage_bytes[a], touched_[a],
+                        page_count_);
     touched_[a] = 0;
   }
 }
 
 bool PaxScanner::BindEvalPreds() {
-  // Binding is page-invariant except for FOR, whose key domain shifts with
-  // the per-page base -- re-bind those on every page.
-  const bool first = bound_preds_.empty();
-  if (first) bound_preds_.resize(pred_nodes_.size());
+  if (bound_preds_.empty()) bound_preds_.resize(pred_nodes_.size());
   for (size_t n = 0; n < pred_nodes_.size(); ++n) {
-    const size_t attr = pred_nodes_[n].first;
-    const AttributeCodec* codec = eval_raw_[attr];
-    if (!first && codec->kind() != CompressionKind::kFor) continue;
-    bound_preds_[n].clear();
-    for (const Predicate& pred : pred_nodes_[n].second) {
-      kernels::PackedPredicate packed;
-      bool ok;
-      if (pred.is_text()) {
-        ok = codec->BindPredicate(
-            pred.op(),
-            reinterpret_cast<const uint8_t*>(pred.text_operand().data()),
-            pred.text_operand().size(), /*is_text=*/true, &packed);
-      } else {
-        uint8_t operand[4];
-        StoreLE32s(operand, pred.int_operand());
-        ok = codec->BindPredicate(pred.op(), operand, sizeof(operand),
-                                  /*is_text=*/false, &packed);
-      }
-      if (!ok) {
-        // Bindability does not depend on the page; stop probing.
-        kernel_bind_failed_ = true;
-        bound_preds_.clear();
-        return false;
-      }
-      bound_preds_[n].push_back(std::move(packed));
+    if (!BindPackedPredicates(*eval_raw_[pred_nodes_[n].first],
+                              pred_nodes_[n].second, &bound_preds_[n])) {
+      kernel_bind_failed_ = true;
+      bound_preds_.clear();
+      return false;
     }
   }
   return true;
@@ -221,7 +120,7 @@ bool PaxScanner::TryKernelEval() {
           static_cast<size_t>(table_->schema().attribute(attr).width);
       batch_scratch_.resize(static_cast<size_t>(page_count_) * width);
       eval_reader_->DecodeBatch(attr, page_count_, batch_scratch_.data());
-      CountDecode(kind, page_count_);
+      CountDecode(&c, kind, page_count_);
     }
     for (size_t p = 0; p < bound_preds_[n].size(); ++p) {
       const kernels::PackedPredicate& pred = bound_preds_[n][p];
@@ -289,53 +188,21 @@ bool PaxScanner::TryKernelEval() {
 
 Status PaxScanner::AdvancePage() {
   AccountPage();
-  if (eval_reader_.has_value()) {
-    page_start_pos_ += page_count_;
-    eval_reader_.reset();
-    emit_reader_.reset();
-  }
+  eval_reader_.reset();
+  emit_reader_.reset();
   const Schema& schema = table_->schema();
   ExecCounters& c = stats_->counters();
   while (true) {
-    // Page-boundary liveness check: a cancelled or expired query stops
-    // within one page's worth of work.
-    RODB_RETURN_IF_ERROR(stats_->CheckAlive());
-    if (page_in_view_ >= pages_in_view_) {
-      {
-        obs::SpanTimer io_span(stats_->trace(), obs::TracePhase::kIo);
-        RODB_ASSIGN_OR_RETURN(view_, stream_->Next());
-      }
-      if (view_.size == 0) {
-        eof_ = true;
-        return CheckScanComplete();
-      }
-      pages_in_view_ = view_.size / table_->meta().page_size;
-      page_in_view_ = 0;
-      if (pages_in_view_ == 0) {
-        return Status::Corruption("I/O unit smaller than one page");
-      }
+    RODB_ASSIGN_OR_RETURN(const PageView* page, source_.Next());
+    if (page == nullptr) {
+      eof_ = true;
+      return Status::OK();
     }
-    if (plan_.active) {
-      // Views from a pruned (gapped) stream carry their absolute file
-      // offset; recover the page's first tuple position from it.
-      const uint64_t file_page =
-          view_.file_offset / table_->meta().page_size + page_in_view_;
-      page_start_pos_ = file_page * table_->meta().PageValues(0);
-    }
-    const uint8_t* page_data =
-        view_.data + page_in_view_ * table_->meta().page_size;
-    ++page_in_view_;
-    RODB_ASSIGN_OR_RETURN(
-        PaxPageReader eval,
-        PaxPageReader::Open(page_data, table_->meta().page_size, &schema,
-                            eval_raw_, spec_.read.verify_checksums));
-    RODB_ASSIGN_OR_RETURN(
-        PaxPageReader emit,
-        PaxPageReader::Open(page_data, table_->meta().page_size, &schema,
-                            emit_raw_, spec_.read.verify_checksums));
-    stats_->counters().pages_parsed += 1;
-    pages_scanned_ += 1;
-    tuples_scanned_ += eval.count();
+    RODB_ASSIGN_OR_RETURN(PaxPageReader eval,
+                          PaxPageReader::Open(*page, &schema, eval_raw_));
+    RODB_ASSIGN_OR_RETURN(PaxPageReader emit,
+                          PaxPageReader::Open(*page, &schema, emit_raw_));
+    page_start_pos_ = source_.first_pos();
     eval_reader_.emplace(eval);
     emit_reader_.emplace(emit);
     page_count_ = eval_reader_->count();
@@ -360,7 +227,7 @@ Status PaxScanner::AdvancePage() {
         const CompressionKind kind = eval_raw_[attr]->kind();
         for (uint32_t i = 0; i < page_count_; ++i) {
           eval_reader_->DecodeNext(attr, value);
-          CountDecode(kind, 1);
+          CountDecode(&c, kind, 1);
           c.tuples_examined += 1;
           bool pass = true;
           for (const Predicate& pred : preds) {
@@ -386,13 +253,13 @@ Status PaxScanner::AdvancePage() {
           if (skip > 0) {
             eval_reader_->SkipValues(attr, skip);
             if (kind == CompressionKind::kForDelta) {
-              CountDecode(kind, skip);
+              CountDecode(&c, kind, skip);
               touched_[attr] += skip;
             }
           }
           eval_reader_->DecodeNext(attr, value);
           cursor = pos + 1;
-          CountDecode(kind, 1);
+          CountDecode(&c, kind, 1);
           touched_[attr] += 1;
           c.positions_processed += 1;
           bool pass = true;
@@ -411,41 +278,9 @@ Status PaxScanner::AdvancePage() {
     if (!positions_.empty()) return Status::OK();
     // Fully filtered page: account it and move on.
     AccountPage();
-    page_start_pos_ += page_count_;
     eval_reader_.reset();
     emit_reader_.reset();
   }
-}
-
-Status PaxScanner::CheckScanComplete() const {
-  const TableMeta& meta = table_->meta();
-  if (plan_.active) {
-    // A pruned stream must deliver exactly the retained pages; the
-    // whole-table tuple count check no longer applies.
-    if (pages_scanned_ != plan_.nodes[0].pages) {
-      return Status::Corruption(
-          "pruned PAX scan read " + std::to_string(pages_scanned_) + " of " +
-          std::to_string(plan_.nodes[0].pages) + " retained pages");
-    }
-    return Status::OK();
-  }
-  const uint64_t total_pages = meta.file_pages.empty() ? 0
-                                                       : meta.file_pages[0];
-  const uint64_t first_page = spec_.range.first_page();
-  const uint64_t avail =
-      first_page < total_pages ? total_pages - first_page : 0;
-  const uint64_t expected_pages = std::min(spec_.range.num_pages(), avail);
-  if (pages_scanned_ != expected_pages) {
-    return Status::Corruption(
-        "PAX file ended early: scanned " + std::to_string(pages_scanned_) +
-        " of " + std::to_string(expected_pages) + " expected pages");
-  }
-  if (spec_.range.is_all() && tuples_scanned_ != meta.num_tuples) {
-    return Status::Corruption(
-        "PAX table holds " + std::to_string(tuples_scanned_) +
-        " tuples but the catalog claims " + std::to_string(meta.num_tuples));
-  }
-  return Status::OK();
 }
 
 Result<TupleBlock*> PaxScanner::Next() {
@@ -471,13 +306,13 @@ Result<TupleBlock*> PaxScanner::Next() {
         if (skip > 0) {
           emit_reader_->SkipValues(attr, skip);
           if (kind == CompressionKind::kForDelta) {
-            CountDecode(kind, skip);
+            CountDecode(&c, kind, skip);
             touched_[attr] += skip;
           }
         }
         emit_reader_->DecodeNext(attr, value);
         emit_cursor_[attr] = pos + 1;
-        CountDecode(kind, 1);
+        CountDecode(&c, kind, 1);
         touched_[attr] += 1;
         std::memcpy(slot + layout.offsets[i], value,
                     static_cast<size_t>(layout.widths[i]));
@@ -499,7 +334,7 @@ Result<TupleBlock*> PaxScanner::Next() {
 void PaxScanner::Close() {
   AccountPage();
   stats_->FoldIo();
-  stream_.reset();
+  source_.Close();
   eval_reader_.reset();
   emit_reader_.reset();
 }

@@ -7,8 +7,8 @@
 
 #include "engine/exec_stats.h"
 #include "engine/operator.h"
+#include "engine/page_source.h"
 #include "engine/scan_spec.h"
-#include "engine/zone_pruner.h"
 #include "io/io.h"
 #include "storage/catalog.h"
 #include "storage/pax_page.h"
@@ -51,21 +51,15 @@ class PaxScanner final : public Operator {
   /// over its minipage; later nodes skip whole dead mask words. Returns
   /// false (having touched nothing) when kernels cannot run this page.
   bool TryKernelEval();
-  /// At stream EOF: the pages/tuples actually delivered must match what
-  /// the catalog promised for the scanned range -- a file truncated
-  /// underneath the scan must fail, not silently return fewer rows.
-  Status CheckScanComplete() const;
   void AccountPage();
-  void CountDecode(CompressionKind kind, uint64_t n);
 
   const OpenTable* table_;
   ScanSpec spec_;
-  IoBackend* backend_;
-  /// CachingBackend wrapped around the borrowed backend when the spec
-  /// carries a block cache (backend_ then points at it).
-  std::vector<std::unique_ptr<IoBackend>> owned_backends_;
   ExecStats* stats_;
   TupleBlock block_;
+  /// The PAX file's pages: the prune plan's retained runs or the spec's
+  /// page range. Each page is parsed once and read by both passes.
+  PageSource source_;
 
   /// Independent codec sets for the two passes (both are stateful).
   std::vector<std::unique_ptr<AttributeCodec>> eval_codecs_;
@@ -75,10 +69,6 @@ class PaxScanner final : public Operator {
   /// Predicates grouped per attribute, in pipeline order.
   std::vector<std::pair<size_t, std::vector<Predicate>>> pred_nodes_;
 
-  std::unique_ptr<SequentialStream> stream_;
-  IoView view_{};
-  size_t page_in_view_ = 0;
-  size_t pages_in_view_ = 0;
   std::optional<PaxPageReader> eval_reader_;
   std::optional<PaxPageReader> emit_reader_;
   PaxGeometry geometry_;
@@ -87,8 +77,6 @@ class PaxScanner final : public Operator {
   size_t pos_idx_ = 0;
   uint64_t page_start_pos_ = 0;         ///< global row id of page start
   uint32_t page_count_ = 0;
-  uint64_t pages_scanned_ = 0;
-  uint64_t tuples_scanned_ = 0;         ///< sum of scanned pages' counts
   std::vector<uint64_t> emit_cursor_;   ///< per-attr values consumed (emit)
   std::vector<uint64_t> touched_;       ///< per-attr touched values (page)
   std::vector<uint8_t> value_scratch_;
@@ -103,11 +91,6 @@ class PaxScanner final : public Operator {
   kernels::BitVector page_mask_;
   kernels::BitVector pass_mask_;
   std::vector<uint8_t> batch_scratch_;  ///< FOR-delta minipage decode
-
-  /// Zone-map prune plan (inactive unless spec.prune found skippable
-  /// pages). When active the stream only carries the retained page runs
-  /// and page_start_pos_ is recovered from each view's file offset.
-  PrunePlan plan_;
 };
 
 }  // namespace rodb

@@ -1,7 +1,6 @@
 #include "engine/row_scanner.h"
 
 #include "common/macros.h"
-#include "engine/scanner_io.h"
 #include "obs/span.h"
 
 namespace rodb {
@@ -9,64 +8,25 @@ namespace rodb {
 RowScanner::RowScanner(const OpenTable* table, ScanSpec spec,
                        IoBackend* backend, ExecStats* stats,
                        BlockLayout layout)
-    : table_(table), spec_(std::move(spec)), backend_(backend), stats_(stats),
-      block_(std::move(layout), spec_.block_tuples) {}
+    : table_(table), spec_(std::move(spec)), stats_(stats),
+      block_(std::move(layout), spec_.block_tuples),
+      source_(table, 0, spec_, backend, stats) {}
 
 Result<OperatorPtr> RowScanner::Make(const OpenTable* table, ScanSpec spec,
                                      IoBackend* backend, ExecStats* stats) {
-  if (table == nullptr || backend == nullptr || stats == nullptr) {
-    return Status::InvalidArgument("RowScanner: null dependency");
-  }
-  if (table->meta().layout != Layout::kRow) {
-    return Status::InvalidArgument("RowScanner requires a row-layout table");
-  }
+  RODB_RETURN_IF_ERROR(
+      ValidateScanSpec(table, spec, Layout::kRow, backend, stats));
   const Schema& schema = table->schema();
-  if (spec.projection.empty()) {
-    return Status::InvalidArgument("scan projection must not be empty");
-  }
-  for (int attr : spec.projection) {
-    if (attr < 0 || static_cast<size_t>(attr) >= schema.num_attributes()) {
-      return Status::OutOfRange("projection attribute out of range");
-    }
-  }
-  for (const Predicate& pred : spec.predicates) {
-    if (pred.attr_index() < 0 ||
-        static_cast<size_t>(pred.attr_index()) >= schema.num_attributes()) {
-      return Status::OutOfRange("predicate attribute out of range");
-    }
-  }
-  if (spec.read.io_unit_bytes % table->meta().page_size != 0) {
-    return Status::InvalidArgument(
-        "I/O unit must be a multiple of the page size");
-  }
-  RODB_RETURN_IF_ERROR(spec.range.Validate(Layout::kRow));
   BlockLayout layout = BlockLayout::FromSchema(schema, spec.projection);
   std::unique_ptr<RowScanner> scanner(new RowScanner(
       table, std::move(spec), backend, stats, std::move(layout)));
-  scanner->backend_ = ScanBackendStack(backend, scanner->spec_, stats,
-                                       &scanner->owned_backends_);
   RODB_ASSIGN_OR_RETURN(scanner->codec_bundle_, table->MakeRowCodec());
   scanner->scratch_.resize(
       static_cast<size_t>(schema.raw_tuple_width()));
   // Pre-compute the per-tuple decode event profile for the counters.
   for (size_t i = 0; i < schema.num_attributes(); ++i) {
-    switch (schema.attribute(i).codec.kind) {
-      case CompressionKind::kBitPack:
-        ++scanner->per_tuple_decode_.values_decoded_bitpack;
-        break;
-      case CompressionKind::kDict:
-      case CompressionKind::kCharPack:
-        ++scanner->per_tuple_decode_.values_decoded_dict;
-        break;
-      case CompressionKind::kFor:
-        ++scanner->per_tuple_decode_.values_decoded_for;
-        break;
-      case CompressionKind::kForDelta:
-        ++scanner->per_tuple_decode_.values_decoded_fordelta;
-        break;
-      case CompressionKind::kNone:
-        break;
-    }
+    CountDecode(&scanner->per_tuple_decode_, schema.attribute(i).codec.kind,
+                1);
   }
   for (int attr : scanner->spec_.projection) {
     scanner->projected_bytes_ +=
@@ -77,75 +37,25 @@ Result<OperatorPtr> RowScanner::Make(const OpenTable* table, ScanSpec spec,
 
 Status RowScanner::Open() {
   if (opened_) return Status::OK();
-  plan_ = BuildPrunePlan(*table_, spec_);
-  plan_.AddCountersTo(&stats_->counters());
-  IoOptions options = ScanStreamOptions(spec_, stats_, *table_, 0);
-  if (plan_.active) {
-    // Stream only the retained page runs; positions are recovered from
-    // each view's absolute file offset in AdvancePage.
-    RODB_ASSIGN_OR_RETURN(
-        stream_,
-        OpenMultiRunStream(backend_, table_->FilePath(0), options,
-                           ByteRunsForPages(plan_.nodes[0].page_runs,
-                                            table_->meta().page_size,
-                                            table_->FileBytes(0)),
-                           table_->FileBytes(0)));
-    opened_ = true;
-    return Status::OK();
-  }
-  options.start_offset = spec_.range.first_page() * table_->meta().page_size;
-  if (spec_.range.num_pages() != UINT64_MAX) {
-    options.length = spec_.range.num_pages() * table_->meta().page_size;
-  }
-  // Absolute tuple positions for partitioned scans, when the page->tuple
-  // mapping is known; otherwise positions are morsel-local (they never
-  // feed the output checksum).
-  next_position_ = spec_.range.first_page() * table_->meta().PageValues(0);
-  RODB_ASSIGN_OR_RETURN(stream_,
-                        backend_->OpenStream(table_->FilePath(0), options));
+  const PrunePlan plan = BuildPrunePlan(*table_, spec_);
+  plan.AddCountersTo(&stats_->counters());
+  RODB_RETURN_IF_ERROR(source_.Open(plan.retained(0)));
   opened_ = true;
   return Status::OK();
 }
 
 Status RowScanner::AdvancePage() {
   while (true) {
-    // Page-boundary liveness check: a cancelled or expired query stops
-    // within one page's worth of work.
-    RODB_RETURN_IF_ERROR(stats_->CheckAlive());
-    if (page_in_view_ >= pages_in_view_) {
-      {
-        obs::SpanTimer io_span(stats_->trace(), obs::TracePhase::kIo);
-        RODB_ASSIGN_OR_RETURN(view_, stream_->Next());
-      }
-      if (view_.size == 0) {
-        eof_ = true;
-        return CheckScanComplete();
-      }
-      pages_in_view_ = view_.size / table_->meta().page_size;
-      page_in_view_ = 0;
-      if (pages_in_view_ == 0) {
-        return Status::Corruption("I/O unit smaller than one page");
-      }
+    RODB_ASSIGN_OR_RETURN(const PageView* page, source_.Next());
+    if (page == nullptr) {
+      eof_ = true;
+      return Status::OK();
     }
-    if (plan_.active) {
-      // Views from a pruned (gapped) stream carry their absolute file
-      // offset; recover the page's first tuple position from it.
-      const uint64_t file_page =
-          view_.file_offset / table_->meta().page_size + page_in_view_;
-      next_position_ = file_page * table_->meta().PageValues(0);
-    }
-    const uint8_t* page_data =
-        view_.data + page_in_view_ * table_->meta().page_size;
-    ++page_in_view_;
     RODB_ASSIGN_OR_RETURN(
         RowPageReader reader,
-        RowPageReader::Open(page_data, table_->meta().page_size,
-                            &table_->schema(),
-                            codec_bundle_.row_codec.get(),
-                            spec_.read.verify_checksums));
-    stats_->counters().pages_parsed += 1;
-    pages_scanned_ += 1;
-    tuples_scanned_ += reader.count();
+        RowPageReader::Open(*page, &table_->schema(),
+                            codec_bundle_.row_codec.get()));
+    next_position_ = source_.first_pos();
     // A row scan streams the full page through the cache hierarchy.
     stats_->AddSequentialBytes(table_->meta().page_size);
     page_.emplace(reader);
@@ -153,37 +63,6 @@ Status RowScanner::AdvancePage() {
     if (page_->count() > 0) return Status::OK();
     // Empty page: keep advancing.
   }
-}
-
-Status RowScanner::CheckScanComplete() const {
-  const TableMeta& meta = table_->meta();
-  if (plan_.active) {
-    // A pruned stream must deliver exactly the retained pages; the
-    // whole-table tuple count check no longer applies.
-    if (pages_scanned_ != plan_.nodes[0].pages) {
-      return Status::Corruption(
-          "pruned row scan read " + std::to_string(pages_scanned_) + " of " +
-          std::to_string(plan_.nodes[0].pages) + " retained pages");
-    }
-    return Status::OK();
-  }
-  const uint64_t total_pages = meta.file_pages.empty() ? 0
-                                                       : meta.file_pages[0];
-  const uint64_t first_page = spec_.range.first_page();
-  const uint64_t avail =
-      first_page < total_pages ? total_pages - first_page : 0;
-  const uint64_t expected_pages = std::min(spec_.range.num_pages(), avail);
-  if (pages_scanned_ != expected_pages) {
-    return Status::Corruption(
-        "row file ended early: scanned " + std::to_string(pages_scanned_) +
-        " of " + std::to_string(expected_pages) + " expected pages");
-  }
-  if (spec_.range.is_all() && tuples_scanned_ != meta.num_tuples) {
-    return Status::Corruption(
-        "row table holds " + std::to_string(tuples_scanned_) +
-        " tuples but the catalog claims " + std::to_string(meta.num_tuples));
-  }
-  return Status::OK();
 }
 
 void RowScanner::ProcessCurrentPage() {
@@ -248,7 +127,7 @@ Result<TupleBlock*> RowScanner::Next() {
 
 void RowScanner::Close() {
   stats_->FoldIo();
-  stream_.reset();
+  source_.Close();
   page_.reset();
 }
 

@@ -7,8 +7,8 @@
 
 #include "engine/exec_stats.h"
 #include "engine/operator.h"
+#include "engine/page_source.h"
 #include "engine/scan_spec.h"
-#include "engine/zone_pruner.h"
 #include "io/io.h"
 #include "storage/catalog.h"
 #include "storage/row_page.h"
@@ -37,46 +37,30 @@ class RowScanner final : public Operator {
   RowScanner(const OpenTable* table, ScanSpec spec, IoBackend* backend,
              ExecStats* stats, BlockLayout layout);
 
-  /// Advances to the next page in the stream. Sets eof_ when done.
+  /// Advances to the next non-empty page. Sets eof_ when done.
   Status AdvancePage();
-  /// At stream EOF: the pages/tuples actually delivered must match what
-  /// the catalog promised for the scanned range -- a file truncated
-  /// underneath the scan must fail, not silently return fewer rows.
-  Status CheckScanComplete() const;
   /// Processes tuples of the current page into block_ until the block is
   /// full or the page is exhausted.
   void ProcessCurrentPage();
 
   const OpenTable* table_;
   ScanSpec spec_;
-  IoBackend* backend_;
-  /// CachingBackend wrapped around the borrowed backend when the spec
-  /// carries a block cache (backend_ then points at it).
-  std::vector<std::unique_ptr<IoBackend>> owned_backends_;
   ExecStats* stats_;
   TupleBlock block_;
+  /// The row file's pages: the prune plan's retained runs or the spec's
+  /// page range.
+  PageSource source_;
 
   OpenTable::RowCodecBundle codec_bundle_;
-  std::unique_ptr<SequentialStream> stream_;
-  IoView view_{};
-  size_t page_in_view_ = 0;
-  size_t pages_in_view_ = 0;
   std::optional<RowPageReader> page_;
   uint32_t tuple_in_page_ = 0;
   uint64_t next_position_ = 0;  ///< absolute row id of the next tuple
-  uint64_t pages_scanned_ = 0;
-  uint64_t tuples_scanned_ = 0;  ///< sum of scanned pages' tuple counts
   bool eof_ = false;
   bool opened_ = false;
 
   std::vector<uint8_t> scratch_;          ///< decoded tuple (compressed path)
   ExecCounters per_tuple_decode_;         ///< decode counters per tuple
   int projected_bytes_ = 0;               ///< bytes copied per emitted tuple
-
-  /// Zone-map prune plan (inactive unless spec.prune found skippable
-  /// pages). When active the stream only carries the retained page runs
-  /// and tuple positions are recovered from each view's file offset.
-  PrunePlan plan_;
 };
 
 }  // namespace rodb

@@ -1,8 +1,7 @@
 #include "engine/zone_pruner.h"
 
 #include <algorithm>
-
-#include "common/macros.h"
+#include <string>
 
 namespace rodb {
 
@@ -464,53 +463,6 @@ std::vector<ByteRun> ByteRunsForPages(const std::vector<Run>& page_runs,
     out.push_back(b);
   }
   return out;
-}
-
-namespace {
-
-class MultiRunStream : public SequentialStream {
- public:
-  MultiRunStream(IoBackend* backend, std::string path, IoOptions base,
-                 std::vector<ByteRun> runs, uint64_t file_bytes)
-      : backend_(backend), path_(std::move(path)), base_(base),
-        runs_(std::move(runs)), file_bytes_(file_bytes) {}
-
-  Result<IoView> Next() override {
-    while (true) {
-      if (current_ == nullptr) {
-        if (next_run_ >= runs_.size()) return IoView{};
-        IoOptions options = base_;
-        options.start_offset = runs_[next_run_].offset;
-        options.length = runs_[next_run_].length;
-        RODB_ASSIGN_OR_RETURN(current_,
-                              backend_->OpenStream(path_, options));
-        ++next_run_;
-      }
-      RODB_ASSIGN_OR_RETURN(IoView view, current_->Next());
-      if (view.size > 0) return view;
-      current_.reset();
-    }
-  }
-
-  uint64_t file_size() const override { return file_bytes_; }
-
- private:
-  IoBackend* backend_;
-  std::string path_;
-  IoOptions base_;
-  std::vector<ByteRun> runs_;
-  uint64_t file_bytes_;
-  size_t next_run_ = 0;
-  std::unique_ptr<SequentialStream> current_;
-};
-
-}  // namespace
-
-Result<std::unique_ptr<SequentialStream>> OpenMultiRunStream(
-    IoBackend* backend, const std::string& path, const IoOptions& base,
-    std::vector<ByteRun> runs, uint64_t file_bytes) {
-  return std::unique_ptr<SequentialStream>(new MultiRunStream(
-      backend, path, base, std::move(runs), file_bytes));
 }
 
 }  // namespace rodb

@@ -2,13 +2,10 @@
 #define RODB_ENGINE_ZONE_PRUNER_H_
 
 #include <cstdint>
-#include <memory>
-#include <string>
 #include <vector>
 
 #include "engine/scan_spec.h"
 #include "hwmodel/cpu_model.h"
-#include "io/io.h"
 #include "storage/catalog.h"
 #include "storage/synopsis.h"
 
@@ -126,6 +123,13 @@ struct PrunePlan {
 
   /// Folds the plan's outcome into the scan's counters at Open time.
   void AddCountersTo(ExecCounters* c) const;
+
+  /// Node `k`'s retained page runs, or null when the plan is inactive
+  /// (the scan then reads its whole range): what a scanner hands its
+  /// PageSource.
+  const std::vector<Run>* retained(size_t k) const {
+    return active ? &nodes[k].page_runs : nullptr;
+  }
 };
 
 /// Builds the plan for scanning `table` under `spec`. Never fails:
@@ -154,15 +158,6 @@ struct ByteRun {
 /// `file_bytes`).
 std::vector<ByteRun> ByteRunsForPages(const std::vector<Run>& page_runs,
                                       size_t page_size, uint64_t file_bytes);
-
-/// A SequentialStream that concatenates one backend stream per byte run,
-/// opening each lazily on first demand (FileBackend spawns a prefetch
-/// thread per stream, so eager opening of many short runs would be
-/// wasteful). Views keep their absolute file_offset, which is how
-/// scanners recover page indices across the gaps.
-Result<std::unique_ptr<SequentialStream>> OpenMultiRunStream(
-    IoBackend* backend, const std::string& path, const IoOptions& base,
-    std::vector<ByteRun> runs, uint64_t file_bytes);
 
 }  // namespace rodb
 

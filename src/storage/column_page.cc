@@ -55,11 +55,16 @@ Result<ColumnPageReader> ColumnPageReader::Open(const uint8_t* page,
                                                 size_t page_size,
                                                 AttributeCodec* codec,
                                                 bool verify_checksum) {
+  RODB_ASSIGN_OR_RETURN(PageView view,
+                        PageView::Parse(page, page_size, verify_checksum));
+  return Open(view, codec);
+}
+
+Result<ColumnPageReader> ColumnPageReader::Open(const PageView& view,
+                                                AttributeCodec* codec) {
   if (codec == nullptr) {
     return Status::InvalidArgument("ColumnPageReader requires a codec");
   }
-  RODB_ASSIGN_OR_RETURN(PageView view,
-                        PageView::Parse(page, page_size, verify_checksum));
   const int want_meta = CodecNeedsPageMeta(codec->kind()) ? 1 : 0;
   if (view.meta_count() != want_meta) {
     return Status::Corruption("column page meta count mismatch");

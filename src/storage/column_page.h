@@ -44,6 +44,9 @@ class ColumnPageReader {
   static Result<ColumnPageReader> Open(const uint8_t* page, size_t page_size,
                                        AttributeCodec* codec,
                                        bool verify_checksum = false);
+  /// Same, over a page already parsed (and, if asked, verified).
+  static Result<ColumnPageReader> Open(const PageView& view,
+                                       AttributeCodec* codec);
 
   uint32_t count() const { return view_.count(); }
   uint32_t page_id() const { return view_.page_id(); }

@@ -101,6 +101,7 @@ class PageView {
                                 bool verify_checksum = false);
 
   uint32_t count() const { return count_; }
+  size_t page_size() const { return page_size_; }
   uint32_t page_id() const { return trailer_.page_id; }
   int meta_count() const { return trailer_.meta_count; }
   uint16_t flags() const { return trailer_.flags; }

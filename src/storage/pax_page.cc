@@ -128,16 +128,22 @@ Status PaxPageBuilder::Finish(uint32_t page_id) {
 Result<PaxPageReader> PaxPageReader::Open(
     const uint8_t* page, size_t page_size, const Schema* schema,
     const std::vector<AttributeCodec*>& codecs, bool verify_checksum) {
+  RODB_ASSIGN_OR_RETURN(PageView view,
+                        PageView::Parse(page, page_size, verify_checksum));
+  return Open(view, schema, codecs);
+}
+
+Result<PaxPageReader> PaxPageReader::Open(
+    const PageView& view, const Schema* schema,
+    const std::vector<AttributeCodec*>& codecs) {
   if (schema == nullptr || codecs.size() != schema->num_attributes()) {
     return Status::InvalidArgument("PAX reader: schema/codec mismatch");
   }
-  RODB_ASSIGN_OR_RETURN(PageView view,
-                        PageView::Parse(page, page_size, verify_checksum));
   if ((view.flags() & kPageFlagPax) == 0) {
     return Status::Corruption("not a PAX page");
   }
   RODB_ASSIGN_OR_RETURN(PaxGeometry geometry,
-                        PaxGeometry::Make(codecs, page_size));
+                        PaxGeometry::Make(codecs, view.page_size()));
   if (view.count() > geometry.capacity) {
     return Status::Corruption("PAX page count overflows capacity");
   }
@@ -151,7 +157,7 @@ Result<PaxPageReader> PaxPageReader::Open(
   int meta_index = 0;
   for (size_t a = 0; a < codecs.size(); ++a) {
     readers.emplace_back(
-        page + kPageHeaderBytes + geometry.minipage_offsets[a],
+        view.payload() + geometry.minipage_offsets[a],
         geometry.minipage_bytes[a]);
     metas.push_back(CodecNeedsPageMeta(codecs[a]->kind())
                         ? view.meta(meta_index++)

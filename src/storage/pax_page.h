@@ -80,6 +80,10 @@ class PaxPageReader {
                                     const Schema* schema,
                                     const std::vector<AttributeCodec*>& codecs,
                                     bool verify_checksum = false);
+  /// Same, over a page already parsed (and, if asked, verified).
+  static Result<PaxPageReader> Open(const PageView& view,
+                                    const Schema* schema,
+                                    const std::vector<AttributeCodec*>& codecs);
 
   uint32_t count() const { return view_.count(); }
   uint32_t page_id() const { return view_.page_id(); }

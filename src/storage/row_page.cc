@@ -73,6 +73,14 @@ Result<RowPageReader> RowPageReader::Open(const uint8_t* page,
                                           const Schema* schema,
                                           RowCodec* codec,
                                           bool verify_checksum) {
+  RODB_ASSIGN_OR_RETURN(PageView view,
+                        PageView::Parse(page, page_size, verify_checksum));
+  return Open(view, schema, codec);
+}
+
+Result<RowPageReader> RowPageReader::Open(const PageView& view,
+                                          const Schema* schema,
+                                          RowCodec* codec) {
   if (schema == nullptr) {
     return Status::InvalidArgument("RowPageReader requires a schema");
   }
@@ -80,8 +88,6 @@ Result<RowPageReader> RowPageReader::Open(const uint8_t* page,
     return Status::InvalidArgument(
         "RowPageReader codec presence must match schema compression");
   }
-  RODB_ASSIGN_OR_RETURN(PageView view,
-                        PageView::Parse(page, page_size, verify_checksum));
   if (codec != nullptr) {
     if (view.meta_count() != codec->page_meta_count()) {
       return Status::Corruption("row page meta count mismatch");

@@ -64,6 +64,9 @@ class RowPageReader {
   static Result<RowPageReader> Open(const uint8_t* page, size_t page_size,
                                     const Schema* schema, RowCodec* codec,
                                     bool verify_checksum = false);
+  /// Same, over a page already parsed (and, if asked, verified).
+  static Result<RowPageReader> Open(const PageView& view,
+                                    const Schema* schema, RowCodec* codec);
 
   uint32_t count() const { return view_.count(); }
   uint32_t page_id() const { return view_.page_id(); }

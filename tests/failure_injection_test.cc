@@ -12,6 +12,7 @@
 #include "common/bytes.h"
 #include "common/file_util.h"
 #include "engine/column_scanner.h"
+#include "engine/zone_pruner.h"
 #include "io/fault_injection.h"
 #include "obs/metrics.h"
 #include "scan_test_util.h"
@@ -21,6 +22,7 @@ namespace rodb {
 namespace {
 
 using rodb::testing::CollectTuples;
+using rodb::testing::LayoutSuffix;
 using rodb::testing::LoadAllLayouts;
 using rodb::testing::MakeScanner;
 using rodb::testing::TempDir;
@@ -34,15 +36,46 @@ class FailureInjectionTest : public ::testing::Test {
          AttributeDesc::Text("tag", 4, CodecSpec::Dict(2))});
     ASSERT_OK(schema.status());
     schema_ = std::move(schema).value();
-    std::vector<std::vector<uint8_t>> tuples;
     for (int i = 0; i < 3000; ++i) {
       std::vector<uint8_t> t(12);
       StoreLE32s(t.data(), i);
       StoreLE32s(t.data() + 4, i % 100);
       std::memcpy(t.data() + 8, i % 2 ? "AAAA" : "BBBB", 4);
-      tuples.push_back(std::move(t));
+      tuples_.push_back(std::move(t));
     }
-    ASSERT_OK(LoadAllLayouts(dir_.path(), "t", schema_, tuples, 1024));
+    ASSERT_OK(LoadAllLayouts(dir_.path(), "t", schema_, tuples_, 1024));
+  }
+
+  /// The four scanners, each over a fresh single-layout copy of the table.
+  struct ScannerCase {
+    Layout layout;
+    ScannerImpl impl;
+    const char* name;
+  };
+  static constexpr ScannerCase kScanners[] = {
+      {Layout::kRow, ScannerImpl::kAuto, "row"},
+      {Layout::kPax, ScannerImpl::kAuto, "pax"},
+      {Layout::kColumn, ScannerImpl::kAuto, "column"},
+      {Layout::kColumn, ScannerImpl::kEarlyMat, "earlymat"},
+  };
+
+  /// Loads the fixture's tuples as table "t<suffix>" in `dir` and returns
+  /// its name.
+  Result<std::string> LoadCopy(const std::string& dir, Layout layout) {
+    RODB_RETURN_IF_ERROR(rodb::testing::LoadLayouts(dir, "t", schema_,
+                                                    tuples_, {layout}, 1024));
+    return std::string("t") + LayoutSuffix(layout);
+  }
+
+  /// Runs `spec` to completion through `impl` and returns the row count.
+  Result<uint64_t> RunScan(const OpenTable& table, const ScanSpec& spec,
+                           ScannerImpl impl) {
+    ExecStats stats;
+    RODB_ASSIGN_OR_RETURN(auto scan,
+                          OpenScanner(table, spec, &backend_, &stats, impl));
+    RODB_ASSIGN_OR_RETURN(ExecutionResult result,
+                          Execute(scan.get(), &stats));
+    return result.rows;
   }
 
   /// Overwrites `count` bytes of `path` at `offset`.
@@ -92,6 +125,7 @@ class FailureInjectionTest : public ::testing::Test {
 
   TempDir dir_;
   Schema schema_;
+  std::vector<std::vector<uint8_t>> tuples_;
   FileBackend backend_;
 };
 
@@ -120,13 +154,54 @@ TEST_F(FailureInjectionTest, OversizedPageCountRejected) {
   EXPECT_TRUE(rows.status().IsCorruption());
 }
 
-TEST_F(FailureInjectionTest, TruncatedColumnFileDetected) {
-  ASSERT_OK_AND_ASSIGN(OpenTable table, OpenTable::Open(dir_.path(), "t_col"));
-  // Drop the tail of column 1: the pipelined scanner must notice the
-  // column is shorter than the driving position stream.
-  Truncate(table.FilePath(1), 1024);
-  auto rows = ScanRows("t_col", &backend_);
-  EXPECT_FALSE(rows.ok());
+TEST_F(FailureInjectionTest, TruncatedFileFailsEveryScanner) {
+  // Cut one page or half a page off each file of the table underneath a
+  // whole-table scan, a range scan reaching the tail (early-mat scans
+  // whole tables only) and a pruned `id >= 2500` scan whose retained runs
+  // reach the tail: every scanner must fail with Corruption or IoError,
+  // never return a short OK result.
+  enum class Kind { kWhole, kRange, kPruned };
+  int cases = 0;
+  for (const ScannerCase& sc : kScanners) {
+    for (const Kind kind : {Kind::kWhole, Kind::kRange, Kind::kPruned}) {
+      if (kind == Kind::kRange && sc.impl == ScannerImpl::kEarlyMat) continue;
+      const size_t files = sc.layout == Layout::kColumn ? 3 : 1;
+      for (size_t file = 0; file < files; ++file) {
+        for (const uint64_t cut : {1024, 512}) {
+          const std::string label =
+              std::string(sc.name) + " kind " +
+              std::to_string(static_cast<int>(kind)) + " file " +
+              std::to_string(file) + " cut " + std::to_string(cut);
+          SCOPED_TRACE(label);
+          TempDir dir;
+          ASSERT_OK_AND_ASSIGN(const std::string name,
+                               LoadCopy(dir.path(), sc.layout));
+          ASSERT_OK_AND_ASSIGN(OpenTable table,
+                               OpenTable::Open(dir.path(), name));
+          ScanSpec spec;
+          spec.projection = {0, 1, 2};
+          spec.read.io_unit_bytes = 4096;
+          if (kind == Kind::kRange) {
+            spec.range = sc.layout == Layout::kColumn
+                             ? ScanRange::Rows(500, 2500)
+                             : ScanRange::Pages(
+                                   1, table.meta().file_pages[0] - 1);
+          } else if (kind == Kind::kPruned) {
+            spec.predicates = {Predicate::Int32(0, CompareOp::kGe, 2500)};
+            spec.prune = true;
+            ASSERT_TRUE(BuildPrunePlan(table, spec).active);
+          }
+          Truncate(table.FilePath(file), table.FileBytes(file) - cut);
+          auto rows = RunScan(table, spec, sc.impl);
+          EXPECT_TRUE(rows.status().IsCorruption() ||
+                      rows.status().IsIoError())
+              << rows.status().ToString();
+          ++cases;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(cases, 42);
 }
 
 TEST_F(FailureInjectionTest, MissingColumnFileFailsAtOpen) {
@@ -277,6 +352,39 @@ TEST_F(FailureInjectionTest, IngestMergeRejectsCorruptRosGeneration) {
   EXPECT_EQ(failures->Value(), failures_before + 1);
   EXPECT_EQ(store->epoch(), before.epoch());
   EXPECT_EQ(gen_files(), gens_before);
+}
+
+TEST_F(FailureInjectionTest, CatalogCardinalityLieIsCorruptionInEveryScanner) {
+  // The .meta file claims fewer (2000) or more (4000) tuples than the 3000
+  // stored. A whole-table scan must fail either way: a file shorter than
+  // the catalog is truncated, and values past num_tuples are data the
+  // catalog does not account for.
+  for (const uint64_t claimed : {2000, 4000}) {
+    for (const ScannerCase& sc : kScanners) {
+      SCOPED_TRACE(std::string(sc.name) + " claims " +
+                   std::to_string(claimed));
+      TempDir dir;
+      ASSERT_OK_AND_ASSIGN(const std::string name,
+                           LoadCopy(dir.path(), sc.layout));
+      const std::string meta_path = dir.path() + "/" + name + ".meta";
+      ASSERT_OK_AND_ASSIGN(std::string meta, ReadFileToString(meta_path));
+      const std::string stored = "num_tuples 3000\n";
+      const size_t at = meta.find(stored);
+      ASSERT_NE(at, std::string::npos);
+      meta.replace(at, stored.size(),
+                   "num_tuples " + std::to_string(claimed) + "\n");
+      ASSERT_OK(WriteStringToFile(meta_path, meta));
+      ASSERT_OK_AND_ASSIGN(OpenTable table, OpenTable::Open(dir.path(), name));
+      ASSERT_EQ(table.meta().num_tuples, claimed);
+      ScanSpec spec;
+      spec.projection = {0, 1, 2};
+      spec.read.io_unit_bytes = 4096;
+      auto rows = RunScan(table, spec, sc.impl);
+      EXPECT_TRUE(rows.status().IsCorruption())
+          << (rows.ok() ? std::to_string(*rows) + " rows"
+                        : rows.status().ToString());
+    }
+  }
 }
 
 TEST_F(FailureInjectionTest, CatalogCardinalityLieDetectedByColumnScan) {

@@ -209,7 +209,8 @@ TEST_F(ResilienceScanTest, NullContextStillRunsToCompletion) {
 
 TEST_F(ResilienceScanTest, ContextRetryPolicyRecoversTransientFault) {
   // The scanner composes the RetryingBackend from the context's policy
-  // (ScanBackendStack), so a transient fault below becomes invisible.
+  // (PageSource's backend stack), so a transient fault below becomes
+  // invisible.
   for (const char* name : {"t_row", "t_col", "t_pax"}) {
     FileBackend file_backend;
     FaultInjectingBackend faulty(&file_backend, FaultSpec::FailAfter(1));

@@ -41,6 +41,7 @@ int main() {
     ScanSpec base;
     base.projection = FirstAttrs(k);
     base.predicates = {Predicate::Text(kLShipmode, CompareOp::kEq, operand)};
+    base.prune = false;  // the paper's engine has no zone maps
     ScanSpec off = base;
     off.compressed_eval = false;
     ScanSpec on = base;

@@ -80,6 +80,7 @@ int main() {
       spec.projection = FirstAttrs(k);
       spec.predicates = {
           Predicate::Int32(kOOrderdate, CompareOp::kLt, cutoff)};
+      spec.prune = false;  // the paper's engine has no zone maps
       auto row = RunScan(env.data_dir, "orders_row", spec, scale, &backend);
       auto col = RunScan(env.data_dir, "orders_col", spec, scale, &backend);
       auto pax = RunScan(env.data_dir, "orders_pax", spec, scale, &backend);

@@ -42,14 +42,7 @@ tpch::LoadSpec Env::Spec(Layout layout, bool compressed,
 QueryRequest RequestFromSpec(const std::string& name, const ScanSpec& spec) {
   QueryRequest request;
   request.table = name;
-  request.projection = spec.projection;
-  request.predicates = spec.predicates;
-  request.read = spec.read;
-  request.range = spec.range;
-  request.block_tuples = spec.block_tuples;
-  request.compressed_eval = spec.compressed_eval;
-  request.vectorized = spec.vectorized;
-  request.prune = spec.prune;
+  request.scan = spec;
   return request;
 }
 

@@ -51,7 +51,7 @@ struct ScanRun {
   std::string model_json;
 };
 
-/// Maps a ScanSpec onto the public QueryRequest (the benches describe
+/// Wraps a ScanSpec in the public QueryRequest (the benches describe
 /// experiments as specs; the engine wants requests).
 QueryRequest RequestFromSpec(const std::string& name, const ScanSpec& spec);
 

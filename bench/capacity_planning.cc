@@ -58,6 +58,7 @@ int main() {
   spec.projection = FirstAttrs(8);
   spec.predicates = {Predicate::Int32(
       kLPartkey, CompareOp::kLt, SelectivityCutoff(kPartkeyDomain, 0.10))};
+  spec.prune = false;  // the paper's engine has no zone maps
   ExecStats serial_stats, dop_stats;
   auto serial = RunScan(env.data_dir, meta->name, spec, env.PaperScale(),
                         &backend);

@@ -43,6 +43,7 @@ int main() {
     ScanSpec spec;
     spec.projection = FirstAttrs(k);
     spec.predicates = {Predicate::Int32(kLPartkey, CompareOp::kLt, cutoff)};
+    spec.prune = false;  // the paper's engine has no zone maps
     auto row = RunScan(env.data_dir, "lineitem_row", spec, scale, &backend);
     auto col = RunScan(env.data_dir, "lineitem_col", spec, scale, &backend);
     if (!row.ok() || !col.ok()) {

@@ -38,6 +38,7 @@ int main() {
     ScanSpec spec;
     spec.projection = FirstAttrs(k);
     spec.predicates = {Predicate::Int32(kLPartkey, CompareOp::kLt, cutoff)};
+    spec.prune = false;  // the paper's engine has no zone maps
     auto row = RunScan(env.data_dir, "lineitem_row", spec, scale, &backend);
     if (!row.ok()) {
       std::fprintf(stderr, "%s\n", row.status().ToString().c_str());
@@ -50,6 +51,7 @@ int main() {
     ScanSpec spec;
     spec.projection = FirstAttrs(k);
     spec.predicates = {Predicate::Int32(kLPartkey, CompareOp::kLt, cutoff)};
+    spec.prune = false;  // the paper's engine has no zone maps
     auto col = RunScan(env.data_dir, "lineitem_col", spec, scale, &backend);
     if (!col.ok()) {
       std::fprintf(stderr, "%s\n", col.status().ToString().c_str());
@@ -93,6 +95,7 @@ int main() {
       spec.predicates = {Predicate::Int32(
           kLOrderkey, CompareOp::kLt,
           SelectivityCutoff(max_orderkey, sel))};
+      spec.prune = false;
       auto plain = RunScan(env.data_dir, name, spec, scale, &backend);
       spec.prune = true;
       auto pruned = RunScan(env.data_dir, name, spec, scale, &backend);

@@ -44,6 +44,7 @@ int main() {
     ScanSpec spec;
     spec.projection = FirstAttrs(k);
     spec.predicates = {Predicate::Int32(kOOrderdate, CompareOp::kLt, cutoff)};
+    spec.prune = false;  // the paper's engine has no zone maps
     auto row = RunScan(env.data_dir, "orders_z_row", spec, scale, &backend);
     auto delta = RunScan(env.data_dir, "orders_z_col", spec, scale, &backend);
     auto forv =

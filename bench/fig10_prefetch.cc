@@ -40,6 +40,7 @@ int main() {
     ScanSpec spec;
     spec.projection = FirstAttrs(k);
     spec.predicates = {Predicate::Int32(kOOrderdate, CompareOp::kLt, cutoff)};
+    spec.prune = false;  // the paper's engine has no zone maps
     // CPU work is independent of prefetch depth: run the engine once per
     // system and sweep the depth in the disk model.
     auto row = RunScan(env.data_dir, "orders_row", spec, scale, &backend);

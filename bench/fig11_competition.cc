@@ -55,6 +55,7 @@ int main() {
       spec.projection = FirstAttrs(k);
       spec.predicates = {
           Predicate::Int32(kOOrderdate, CompareOp::kLt, cutoff)};
+      spec.prune = false;  // the paper's engine has no zone maps
       auto row = RunScan(env.data_dir, "orders_row", spec, scale, &backend);
       auto col = RunScan(env.data_dir, "orders_col", spec, scale, &backend);
       if (!row.ok() || !col.ok()) {

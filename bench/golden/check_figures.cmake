@@ -1,8 +1,9 @@
 # Figure-output golden check: runs the paper-figure benches whose output
-# is a pure function of counted events (fig06-fig09, plus
-# ablation_scanners, the one bench that runs all four scanners) at a
-# fixed cardinality and compares each bench's stdout byte for byte with
-# its committed output in this directory. Registered as the ctest target
+# is a pure function of counted events (fig06-fig11, table1_trends,
+# ablation_compressed_eval, and ablation_scanners, the one bench that
+# runs all four scanners) at a fixed cardinality and compares each
+# bench's stdout byte for byte with its committed output in this
+# directory. Registered as the ctest target
 # figure_golden_test, so any change that moves a counted event -- and
 # with it a modeled time or a JSON figure -- fails until the goldens are
 # regenerated on purpose.
@@ -18,7 +19,11 @@ set(benches
   fig07_selectivity
   fig08_narrow_orders
   fig09_compression
-  ablation_scanners)
+  fig10_prefetch
+  fig11_competition
+  table1_trends
+  ablation_scanners
+  ablation_compressed_eval)
 
 set(ENV{RODB_BENCH_TUPLES} 100000)
 set(failed "")

@@ -139,8 +139,8 @@ QueryPhase RunQueries(Database* db, const std::string& table,
                       const std::atomic<bool>* stop, uint64_t max_queries) {
   QueryRequest request;
   request.table = table;
-  request.projection = {0, 1};
-  request.predicates = {Predicate::Int32(
+  request.scan.projection = {0, 1};
+  request.scan.predicates = {Predicate::Int32(
       0, CompareOp::kLt, static_cast<int32_t>(kKeyDomain / 10))};
   QueryPhase phase;
   while ((stop == nullptr || !stop->load(std::memory_order_acquire)) &&

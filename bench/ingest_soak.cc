@@ -127,8 +127,8 @@ ReaderStats RunReader(int port,
   }
   QueryRequest request;
   request.table = kTable;
-  request.projection = {0, 1};
-  request.predicates = {Predicate::Int32(
+  request.scan.projection = {0, 1};
+  request.scan.predicates = {Predicate::Int32(
       0, CompareOp::kLt, static_cast<int32_t>(kKeyDomain / 10))};
   uint64_t last_visible = 0;
   while (std::chrono::steady_clock::now() < deadline) {

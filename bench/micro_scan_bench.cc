@@ -64,6 +64,7 @@ void RunScanBench(benchmark::State& state, const std::string& name,
   spec.predicates = {Predicate::Int32(
       tpch::kOOrderdate, CompareOp::kLt,
       tpch::SelectivityCutoff(tpch::kOrderdateDomain, selectivity))};
+  spec.prune = false;  // the paper's engine has no zone maps
   for (auto _ : state) {
     ExecStats stats;
     Result<OperatorPtr> scan =
@@ -143,6 +144,7 @@ void RunKernelVsScalar() {
   spec.predicates = {Predicate::Int32(
       tpch::kOOrderdate, CompareOp::kLt,
       tpch::SelectivityCutoff(tpch::kOrderdateDomain, selectivity))};
+  spec.prune = false;  // kernels vs scalar over every page
 
   const int reps = 7;
   spec.vectorized = false;

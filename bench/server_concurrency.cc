@@ -120,8 +120,8 @@ int main(int argc, char** argv) {
 
   QueryRequest request;
   request.table = meta->name;
-  request.projection = FirstAttrs(3);
-  request.predicates = {Predicate::Int32(
+  request.scan.projection = FirstAttrs(3);
+  request.scan.predicates = {Predicate::Int32(
       kOOrderdate, CompareOp::kLt,
       SelectivityCutoff(kOrderdateDomain, 0.10))};
 

@@ -58,6 +58,7 @@ Times Measure(const Env& env, const std::string& table, int attrs,
   spec.projection = FirstAttrs(attrs);
   spec.predicates = {Predicate::Int32(
       pred_attr, CompareOp::kLt, SelectivityCutoff(domain, selectivity))};
+  spec.prune = false;  // the paper's engine has no zone maps
   auto run = RunScan(env.data_dir, table, spec, env.PaperScale(), &backend);
   RODB_CHECK(run.ok());
   const ModeledTiming t = ModelQueryTiming(run->paper_counters, hw, depth,

@@ -73,8 +73,8 @@ Status Run(const std::string& dir) {
   // Query the table through the ordinary read path.
   QueryRequest query;
   query.table = kTable;
-  query.projection = {0, 1};
-  query.predicates = {Predicate::Int32(1, CompareOp::kLt, 10)};
+  query.scan.projection = {0, 1};
+  query.scan.predicates = {Predicate::Int32(1, CompareOp::kLt, 10)};
   RODB_ASSIGN_OR_RETURN(QueryResult result, db.Execute(query));
   std::printf("\nscan of %s: %llu of %llu tuples qualify (amount < 10)\n",
               kTable, static_cast<unsigned long long>(result.rows),
@@ -83,7 +83,7 @@ Status Run(const std::string& dir) {
   // be sorted.
   QueryRequest ids;
   ids.table = kTable;
-  ids.projection = {0};
+  ids.scan.projection = {0};
   ids.ordered = true;
   ids.collect_rows = true;
   RODB_ASSIGN_OR_RETURN(QueryResult all, db.Execute(ids));

@@ -65,8 +65,8 @@ Status Run(const std::string& dir) {
   engine_options.cache_bytes = 64 << 20;
   db.ConfigureEngine(engine_options);
   QueryRequest query;
-  query.projection = {0, 1};
-  query.predicates = {Predicate::Int32(1, CompareOp::kLt, 50)};
+  query.scan.projection = {0, 1};
+  query.scan.predicates = {Predicate::Int32(1, CompareOp::kLt, 50)};
   // Exclusive mode = one private scan per query, so the per-query I/O
   // counters below show the cold/warm cache difference. (The default
   // kAuto would join the table's shared circulating scan, whose I/O is

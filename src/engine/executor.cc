@@ -17,43 +17,48 @@ uint64_t Fnv1aExtend(uint64_t hash, const uint8_t* data, size_t size) {
   return hash;
 }
 
+Status Drain(Operator* root, ExecStats* stats, const BlockSink& sink) {
+  obs::SpanTimer query_span(stats->trace(), obs::TracePhase::kQuery);
+  {
+    obs::SpanTimer open_span(stats->trace(), obs::TracePhase::kOpen);
+    RODB_RETURN_IF_ERROR(root->Open());
+  }
+  // Close on every exit, error returns included: Close() walks the
+  // operator tree releasing streams (and with them block-cache pins),
+  // and the pending I/O record must be folded or it is lost.
+  auto close_guard = MakeScopeGuard([&] {
+    root->Close();
+    stats->FoldIo();
+  });
+  while (true) {
+    RODB_RETURN_IF_ERROR(stats->CheckAlive());
+    RODB_ASSIGN_OR_RETURN(TupleBlock * block, root->Next());
+    if (block == nullptr) return Status::OK();
+    if (block->empty()) continue;
+    RODB_RETURN_IF_ERROR(sink(*block));
+  }
+}
+
 Result<ExecutionResult> Execute(Operator* root, ExecStats* stats) {
   if (root == nullptr || stats == nullptr) {
     return Status::InvalidArgument("Execute: null dependency");
   }
   ExecutionResult result;
   IntervalTimer timer;
-  obs::QueryTrace* trace = stats->trace();
-  {
-    obs::SpanTimer query_span(trace, obs::TracePhase::kQuery);
-    {
-      obs::SpanTimer open_span(trace, obs::TracePhase::kOpen);
-      RODB_RETURN_IF_ERROR(root->Open());
-    }
-    // Close on every exit, error returns included: Close() walks the
-    // operator tree releasing streams (and with them block-cache pins),
-    // and the pending I/O record must be folded or it is lost.
-    auto close_guard = MakeScopeGuard([&] {
-      root->Close();
-      stats->FoldIo();
-    });
-    uint64_t checksum = kFnv1aSeed;
-    const int width = root->output_layout().tuple_width;
-    while (true) {
-      RODB_RETURN_IF_ERROR(stats->CheckAlive());
-      RODB_ASSIGN_OR_RETURN(TupleBlock * block, root->Next());
-      if (block == nullptr) break;
-      if (block->empty()) continue;
-      result.blocks += 1;
-      result.rows += block->size();
-      checksum = Fnv1aExtend(checksum, block->tuple(0),
-                             static_cast<size_t>(block->size()) *
-                                 static_cast<size_t>(width));
-    }
-    result.output_checksum = checksum;
-  }
+  uint64_t checksum = kFnv1aSeed;
+  const size_t width = static_cast<size_t>(root->output_layout().tuple_width);
+  RODB_RETURN_IF_ERROR(Drain(root, stats, [&](const TupleBlock& block) {
+    result.blocks += 1;
+    result.rows += block.size();
+    checksum = Fnv1aExtend(checksum, block.tuple(0),
+                           static_cast<size_t>(block.size()) * width);
+    return Status::OK();
+  }));
+  result.output_checksum = checksum;
   result.measured = timer.Lap();
-  if (trace != nullptr) trace->FinalizeFromCounters(stats->counters());
+  if (stats->trace() != nullptr) {
+    stats->trace()->FinalizeFromCounters(stats->counters());
+  }
   return result;
 }
 

@@ -1,6 +1,7 @@
 #ifndef RODB_ENGINE_EXECUTOR_H_
 #define RODB_ENGINE_EXECUTOR_H_
 
+#include <functional>
 #include <vector>
 
 #include "common/stopwatch.h"
@@ -34,8 +35,21 @@ struct ExecutionResult {
   MeasuredInterval measured;
 };
 
-/// Drives a plan to completion: Open, pull all blocks, Close. The stats
-/// sink accumulates the counters the hardware model consumes.
+/// Per-block work of a Drain, called once per non-empty block.
+using BlockSink = std::function<Status(const TupleBlock& block)>;
+
+/// The one loop that pulls a plan to exhaustion, whatever the execution
+/// mode: opens `root` inside the `open` span, checks the query's
+/// liveness before every Next, hands each non-empty block to `sink`, and
+/// closes the plan and folds its pending I/O record on every exit (error
+/// returns included), all inside the `query` span. A sink error stops
+/// the drain and is returned.
+Status Drain(Operator* root, ExecStats* stats, const BlockSink& sink);
+
+/// Drives a plan to completion through Drain, folding rows, blocks and
+/// the chained checksum, then finalizes the trace (if any) from the
+/// counters. The stats sink accumulates the counters the hardware model
+/// consumes.
 Result<ExecutionResult> Execute(Operator* root, ExecStats* stats);
 
 /// The disk streams a scan reads, for the disk-array model: the single

@@ -24,21 +24,7 @@ Status ValidateScanSpec(const OpenTable* table, const ScanSpec& spec,
                                    std::string(LayoutName(layout)) +
                                    "-layout table");
   }
-  const size_t num_attrs = table->schema().num_attributes();
-  if (spec.projection.empty()) {
-    return Status::InvalidArgument("scan projection must not be empty");
-  }
-  for (int attr : spec.projection) {
-    if (attr < 0 || static_cast<size_t>(attr) >= num_attrs) {
-      return Status::OutOfRange("projection attribute out of range");
-    }
-  }
-  for (const Predicate& pred : spec.predicates) {
-    if (pred.attr_index() < 0 ||
-        static_cast<size_t>(pred.attr_index()) >= num_attrs) {
-      return Status::OutOfRange("predicate attribute out of range");
-    }
-  }
+  RODB_RETURN_IF_ERROR(ValidateScanAttrs(table->schema(), spec));
   if (spec.read.io_unit_bytes % meta.page_size != 0) {
     return Status::InvalidArgument(
         "I/O unit must be a multiple of the page size");
@@ -54,6 +40,28 @@ Status ValidateScanSpec(const OpenTable* table, const ScanSpec& spec,
             "(attribute " + std::to_string(attr) + " is non-uniform)");
       }
     }
+  }
+  return Status::OK();
+}
+
+Status ValidateScanAttrs(const Schema& schema, const ScanSpec& spec) {
+  const size_t num_attrs = schema.num_attributes();
+  if (spec.projection.empty()) {
+    return Status::InvalidArgument("scan projection must not be empty");
+  }
+  for (int attr : spec.projection) {
+    if (attr < 0 || static_cast<size_t>(attr) >= num_attrs) {
+      return Status::OutOfRange("projection attribute out of range");
+    }
+  }
+  for (const Predicate& pred : spec.predicates) {
+    if (pred.attr_index() < 0 ||
+        static_cast<size_t>(pred.attr_index()) >= num_attrs) {
+      return Status::OutOfRange("predicate attribute out of range");
+    }
+  }
+  if (spec.block_tuples == 0) {
+    return Status::InvalidArgument("block_tuples must be positive");
   }
   return Status::OK();
 }

@@ -16,14 +16,20 @@
 namespace rodb {
 
 /// The one check every scanner's Make runs before building anything:
-/// dependencies present, `table` stored in `layout`, a non-empty
-/// projection, projection and predicate attributes inside the schema, an
-/// I/O unit of whole pages, and a range the layout can partition by
+/// dependencies present, `table` stored in `layout`, ValidateScanAttrs,
+/// an I/O unit of whole pages, and a range the layout can partition by
 /// (column position ranges also need uniform pages in every file the
 /// pipeline reads, so each node can map positions to pages in O(1)).
 Status ValidateScanSpec(const OpenTable* table, const ScanSpec& spec,
                         Layout layout, const IoBackend* backend,
                         const ExecStats* stats);
+
+/// What a spec must satisfy against any table of `schema`: a non-empty
+/// projection and a positive block size (else InvalidArgument), and
+/// projection and predicate attributes inside the schema (else
+/// OutOfRange). QueryEngine applies it to every request before choosing
+/// a mode, so all modes fail a bad request with the same status.
+Status ValidateScanAttrs(const Schema& schema, const ScanSpec& spec);
 
 /// The scan core under all four scanners: one file of one scan, read the
 /// way the paper reads every file (Section 2.2.2-2.2.3) -- fixed I/O

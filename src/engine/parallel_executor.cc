@@ -11,7 +11,6 @@
 
 #include "common/bytes.h"
 #include "common/macros.h"
-#include "common/scope_guard.h"
 #include "common/stopwatch.h"
 #include "engine/exec_stats.h"
 #include "engine/plan_builder.h"
@@ -137,43 +136,28 @@ void CollectPartials(const AggPlan& orig, const TupleBlock& block,
   }
 }
 
-/// One worker: drive its pipeline clone over one morsel, recording either
+/// One worker: drain its pipeline clone over one morsel, recording either
 /// output bytes or partial aggregates into worker-local state.
 Status DriveWorker(Operator* root, const AggPlan* orig_agg, WorkerState* w) {
-  RODB_RETURN_IF_ERROR(root->Open());
-  // Close on every exit, error returns included: Close() releases the
-  // worker's streams (and with them block-cache pins), and the pending
-  // I/O record must be folded or it is lost.
-  auto close_guard = MakeScopeGuard([&] {
-    root->Close();
-    w->stats.FoldIo();
-  });
   const QueryContext* ctx = w->stats.context();
-  const int width = root->output_layout().tuple_width;
-  while (true) {
-    RODB_RETURN_IF_ERROR(w->stats.CheckAlive());
-    RODB_ASSIGN_OR_RETURN(TupleBlock * block, root->Next());
-    if (block == nullptr) break;
-    if (block->empty()) continue;
+  const size_t width = static_cast<size_t>(root->output_layout().tuple_width);
+  return Drain(root, &w->stats, [&](const TupleBlock& block) -> Status {
     w->blocks += 1;
-    w->rows += block->size();
+    w->rows += block.size();
     if (orig_agg != nullptr) {
-      CollectPartials(*orig_agg, *block, w);
-    } else {
-      const size_t chunk = static_cast<size_t>(block->size()) *
-                           static_cast<size_t>(width);
-      if (ctx != nullptr) {
-        // The buffered output bytes are this worker's working set; a
-        // budget overflow fails the query here instead of OOM-ing.
-        RODB_ASSIGN_OR_RETURN(MemoryReservation r,
-                              ctx->ReserveMemory(chunk));
-        w->reservations.push_back(std::move(r));
-      }
-      const uint8_t* data = block->tuple(0);
-      w->bytes.insert(w->bytes.end(), data, data + chunk);
+      CollectPartials(*orig_agg, block, w);
+      return Status::OK();
     }
-  }
-  return Status::OK();
+    const size_t chunk = static_cast<size_t>(block.size()) * width;
+    if (ctx != nullptr) {
+      // The buffered output bytes are this worker's working set; a
+      // budget overflow fails the query here instead of OOM-ing.
+      RODB_ASSIGN_OR_RETURN(MemoryReservation r, ctx->ReserveMemory(chunk));
+      w->reservations.push_back(std::move(r));
+    }
+    w->bytes.insert(w->bytes.end(), block.tuple(0), block.tuple(0) + chunk);
+    return Status::OK();
+  });
 }
 
 /// Emits the merged groups (ascending key order) through a fresh output

@@ -22,7 +22,9 @@ namespace rodb {
 /// qualifying tuples as deep as possible"), followed by one node per
 /// remaining projected column.
 struct ScanSpec {
-  std::vector<int> projection;       ///< table attr indices, output order
+  /// Table attr indices, output order. Scanners need it non-empty;
+  /// QueryEngine::Execute reads an empty projection as every attribute.
+  std::vector<int> projection;
   std::vector<Predicate> predicates; ///< conjunctive SARGable predicates
   /// How to read: I/O unit size, prefetch depth, checksum verification,
   /// optional block cache. The same struct IoOptions carries, so these
@@ -33,6 +35,7 @@ struct ScanSpec {
   /// Which slice of the table to scan (page range for row/PAX, position
   /// range for column, default everything); see engine/scan_range.h.
   ScanRange range;
+  /// Output tuples per block; must be positive.
   uint32_t block_tuples = kDefaultBlockTuples;
   /// Evaluate =/!= predicates on dictionary columns directly against the
   /// compressed codes, materializing values only for qualifying tuples
@@ -54,10 +57,12 @@ struct ScanSpec {
   /// ever issued -- whose min/max zones (or dictionary presence bitmaps)
   /// prove no tuple can satisfy the predicate conjunction. Pruned and
   /// unpruned scans return identical tuples; only the I/O and parse
-  /// counters shrink. Off by default: tables without a (valid) synopsis,
-  /// predicate-free scans, kCharPack predicate columns and non-uniform
-  /// page files all decline pruning and scan normally anyway.
-  bool prune = false;
+  /// counters shrink, so it is on by default. A predicate-free scan has
+  /// nothing to prune with and counts as not requested; tables without a
+  /// (valid) synopsis, kCharPack predicate columns and non-uniform page
+  /// files decline pruning and scan normally. Runs that reproduce the
+  /// paper's engine (which has no zone maps) turn it off.
+  bool prune = true;
 };
 
 /// The distinct table attributes a column scan must read, in pipeline

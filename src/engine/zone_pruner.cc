@@ -292,12 +292,13 @@ PrunePlan Declined(PrunePlan plan, bool corrupt = false) {
 
 PrunePlan BuildPrunePlan(const OpenTable& table, const ScanSpec& spec) {
   PrunePlan plan;
-  plan.requested = spec.prune;
-  if (!spec.prune) return plan;
+  // A predicate-free scan has nothing to prune with: not requested.
+  plan.requested = spec.prune && !spec.predicates.empty();
+  if (!plan.requested) return plan;
   const TableMeta& meta = table.meta();
-  if (spec.predicates.empty() || meta.num_tuples == 0) {
-    // Nothing to prune on; not an error, but surfaced as a decline so
-    // `--trace` explains why a pruned scan read everything.
+  if (meta.num_tuples == 0) {
+    // Not an error, but surfaced as a decline so `--trace` explains why
+    // a pruned scan read everything.
     return Declined(std::move(plan));
   }
   if (table.synopsis_corrupt()) {

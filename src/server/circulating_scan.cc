@@ -1,11 +1,11 @@
 #include "server/circulating_scan.h"
 
 #include <algorithm>
+#include <cstring>
 #include <utility>
 
 #include "common/macros.h"
 #include "engine/exec_stats.h"
-#include "engine/executor.h"
 #include "engine/open_scanner.h"
 #include "engine/scan_spec.h"
 #include "obs/metrics.h"
@@ -49,10 +49,6 @@ struct ServerMetrics {
   }
 };
 
-/// Collected-row buffers grow in budgeted steps so a shared query under
-/// a fair-share MemoryBudget fails cleanly instead of ballooning.
-constexpr uint64_t kRowReserveChunk = 256 * 1024;
-
 }  // namespace
 
 CirculatingScan::CirculatingScan(std::shared_ptr<const OpenTable> table,
@@ -70,35 +66,16 @@ CirculatingScan::CirculatingScan(std::shared_ptr<const OpenTable> table,
 CirculatingScan::~CirculatingScan() { Stop(); }
 
 Result<QueryResult> CirculatingScan::Run(const QueryRequest& request,
+                                         const ScanSpec& spec,
                                          QueryContext ctx) {
-  const Schema& schema = table_->schema();
-  auto query = std::make_shared<Query>();
-  std::vector<int> projection = request.projection;
-  if (projection.empty()) {
-    for (size_t a = 0; a < schema.num_attributes(); ++a) {
-      projection.push_back(static_cast<int>(a));
-    }
-  }
-  for (int attr : projection) {
-    if (attr < 0 || static_cast<size_t>(attr) >= schema.num_attributes()) {
-      return Status::InvalidArgument("projection attribute out of range");
-    }
+  auto query = std::make_shared<Query>(request, std::move(ctx));
+  for (int attr : spec.projection) {
     query->proj_offsets.push_back(full_layout_.offsets[attr]);
     query->proj_widths.push_back(full_layout_.widths[attr]);
-    query->out_width += full_layout_.widths[attr];
   }
-  for (const Predicate& pred : request.predicates) {
-    if (pred.attr_index() < 0 ||
-        static_cast<size_t>(pred.attr_index()) >= schema.num_attributes()) {
-      return Status::InvalidArgument("predicate attribute out of range");
-    }
-  }
-  query->predicates = request.predicates;
-  query->out_layout = BlockLayout::FromSchema(schema, projection);
-  query->collect_rows = request.collect_rows;
-  query->limit_rows = request.limit_rows;
-  query->ctx = std::move(ctx);
-  query->checksum = kFnv1aSeed;
+  query->predicates = spec.predicates;
+  query->result.row_layout =
+      BlockLayout::FromSchema(table_->schema(), spec.projection);
 
   auto& metrics = ServerMetrics::Get();
   std::unique_lock<std::mutex> lock(mu_);
@@ -172,9 +149,8 @@ Status CirculatingScan::RunLap() {
   }
   spec.read = options_.read;
   spec.block_tuples = options_.block_tuples;
-  // The circulating stream serves every attached predicate, so it never
-  // prunes and carries no predicates of its own.
-  spec.prune = false;
+  // The circulating stream serves every attached predicate, so it
+  // carries none of its own (and so never prunes).
 
   ExecStats stats;
   RODB_ASSIGN_OR_RETURN(OperatorPtr scan,
@@ -260,8 +236,9 @@ size_t CirculatingScan::BoundaryLocked(uint64_t pos) {
       CompleteLocked(query, alive, pos);
       continue;
     }
-    query->attach_position = total_tuples_ == 0 ? 0 : pos % total_tuples_;
-    query->attach_lap = lap_;
+    query->result.attach_position =
+        total_tuples_ == 0 ? 0 : pos % total_tuples_;
+    query->result.attach_lap = lap_;
     if (total_tuples_ == 0) {
       // Empty table: the circulation is trivially complete.
       CompleteLocked(query, Status::OK(), pos);
@@ -286,24 +263,12 @@ void CirculatingScan::CompleteLocked(const std::shared_ptr<Query>& query,
   if (query->done) return;
   if (status.ok()) {
     QueryResult& r = query->result;
-    r.rows = query->rows;
-    r.blocks = query->blocks;
-    r.output_checksum = query->checksum;
-    r.row_digest = query->digest;
     r.shared = true;
-    r.attach_position = query->attach_position;
-    r.attach_lap = query->attach_lap;
     r.counters.operator_tuples = query->delivered;
     r.counters.tuples_examined = query->delivered;
-    r.row_layout = query->out_layout;
-    r.rows_collected = query->row_data.empty()
-                           ? 0
-                           : query->row_data.size() /
-                                 static_cast<uint64_t>(query->out_width);
-    r.row_data = std::move(query->row_data);
     ++queries_served_;
   }
-  query->reservations.clear();
+  query->fold.ReleaseMemory();
   query->status = std::move(status);
   query->done = true;
   cv_done_.notify_all();
@@ -322,14 +287,15 @@ void CirculatingScan::FailAllLocked(const Status& status) {
 void CirculatingScan::DeliverBlock(Query* query, const TupleBlock& block) {
   if (query->done || !query->deferred_failure.ok()) return;
   ExecCounters& c = query->result.counters;
-  const size_t num_preds = query->predicates.size();
-  const size_t num_proj = query->proj_offsets.size();
-  bool emitted = false;
+  const size_t out_width =
+      static_cast<size_t>(query->result.row_layout.tuple_width);
+  query->scratch.resize(static_cast<size_t>(block.size()) * out_width);
+  uint8_t* out = query->scratch.data();
+  uint32_t rows = 0;
   for (uint32_t i = 0; i < block.size(); ++i) {
     const uint8_t* tuple = block.tuple(i);
     bool pass = true;
-    for (size_t p = 0; p < num_preds; ++p) {
-      const Predicate& pred = query->predicates[p];
+    for (const Predicate& pred : query->predicates) {
       ++c.predicate_evals;
       if (!pred.Eval(tuple + full_layout_.offsets[pred.attr_index()])) {
         pass = false;
@@ -337,41 +303,24 @@ void CirculatingScan::DeliverBlock(Query* query, const TupleBlock& block) {
       }
     }
     if (!pass) continue;
-    // Hash (and optionally collect) the projected tuple bytes.
-    uint64_t tuple_hash = kFnv1aSeed;
-    for (size_t a = 0; a < num_proj; ++a) {
-      const uint8_t* value = tuple + query->proj_offsets[a];
+    // Gather the projected tuple for the fold.
+    for (size_t a = 0; a < query->proj_offsets.size(); ++a) {
       const size_t width = static_cast<size_t>(query->proj_widths[a]);
-      query->checksum = Fnv1aExtend(query->checksum, value, width);
-      tuple_hash = Fnv1aExtend(tuple_hash, value, width);
-      c.values_copied += 1;
-      c.bytes_copied += width;
+      std::memcpy(out, tuple + query->proj_offsets[a], width);
+      out += width;
     }
-    query->digest += tuple_hash;
-    ++query->rows;
-    emitted = true;
-    if (query->collect_rows &&
-        (query->limit_rows == 0 || query->rows <= query->limit_rows)) {
-      const uint64_t needed =
-          query->row_data.size() + static_cast<uint64_t>(query->out_width);
-      if (needed > query->reserved_bytes) {
-        auto reservation = query->ctx.ReserveMemory(kRowReserveChunk);
-        if (!reservation.ok()) {
-          query->deferred_failure = reservation.status();
-          return;
-        }
-        query->reservations.push_back(std::move(*reservation));
-        query->reserved_bytes += kRowReserveChunk;
-      }
-      for (size_t a = 0; a < num_proj; ++a) {
-        const uint8_t* value = tuple + query->proj_offsets[a];
-        query->row_data.insert(query->row_data.end(), value,
-                               value + query->proj_widths[a]);
-      }
+    c.values_copied += query->proj_offsets.size();
+    c.bytes_copied += out_width;
+    ++rows;
+  }
+  if (rows > 0) {
+    Status folded = query->fold.Add(query->scratch.data(), rows);
+    if (!folded.ok()) {
+      query->deferred_failure = std::move(folded);
+      return;
     }
   }
   query->delivered += block.size();
-  if (emitted) ++query->blocks;
 }
 
 }  // namespace rodb

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "engine/query_context.h"
+#include "engine/scan_spec.h"
 #include "io/io.h"
 #include "server/query_request.h"
 #include "storage/catalog.h"
@@ -73,10 +74,13 @@ class CirculatingScan {
   CirculatingScan(const CirculatingScan&) = delete;
   CirculatingScan& operator=(const CirculatingScan&) = delete;
 
-  /// Submits one query and blocks the calling thread until it has seen
-  /// one full circulation (or died at a window boundary). Thread-safe;
-  /// any number of callers may be in flight.
-  Result<QueryResult> Run(const QueryRequest& request, QueryContext ctx);
+  /// Submits one query -- `request` with its scan resolved to `spec`
+  /// (projection expanded, attributes validated) -- and blocks the
+  /// calling thread until it has seen one full circulation (or died at a
+  /// window boundary). Thread-safe; any number of callers may be in
+  /// flight.
+  Result<QueryResult> Run(const QueryRequest& request, const ScanSpec& spec,
+                          QueryContext ctx);
 
   /// Fails every in-flight query with Cancelled and joins the
   /// circulator thread. Idempotent; called by the engine on shutdown.
@@ -89,27 +93,23 @@ class CirculatingScan {
   /// only; the submitting thread reads `done`/`status`/`result` under
   /// the scan mutex after the done flag flips.
   struct Query {
+    Query(const QueryRequest& request, QueryContext context)
+        : ctx(std::move(context)), fold(request, &ctx, &result) {}
+    Query(const Query&) = delete;  // `fold` points into this object
+    Query& operator=(const Query&) = delete;
+
     // Immutable after construction.
     std::vector<Predicate> predicates;  ///< schema-indexed
     std::vector<int> proj_offsets;      ///< byte offsets in the full block
     std::vector<int> proj_widths;
-    int out_width = 0;
-    BlockLayout out_layout;
-    bool collect_rows = false;
-    uint64_t limit_rows = 0;
     QueryContext ctx;
 
-    // Accumulators (circulator thread only until done).
-    uint64_t rows = 0;
-    uint64_t blocks = 0;
-    uint64_t checksum = 0;
-    uint64_t digest = 0;
+    // Accumulators (circulator thread only until done); `result` is the
+    // completion payload.
+    QueryResult result;
+    ResultFold fold;
+    std::vector<uint8_t> scratch;  ///< one window's projected tuples
     uint64_t delivered = 0;  ///< tuples of the circulation seen so far
-    uint64_t attach_position = 0;
-    uint64_t attach_lap = 0;
-    std::vector<uint8_t> row_data;
-    uint64_t reserved_bytes = 0;
-    std::vector<MemoryReservation> reservations;
     /// Set mid-window (e.g. budget exhaustion); the query completes
     /// with it at the next boundary.
     Status deferred_failure;
@@ -117,7 +117,6 @@ class CirculatingScan {
     // Completion handshake (guarded by CirculatingScan::mu_).
     bool done = false;
     Status status;
-    QueryResult result;
   };
 
   void ThreadMain();

@@ -118,10 +118,10 @@ void GetCounters(ByteReader* in, ExecCounters* c) {
 std::vector<uint8_t> EncodeQueryRequest(const QueryRequest& request) {
   std::vector<uint8_t> out;
   PutString(&out, request.table);
-  PutU32(&out, static_cast<uint32_t>(request.projection.size()));
-  for (int attr : request.projection) PutI32(&out, attr);
-  PutU32(&out, static_cast<uint32_t>(request.predicates.size()));
-  for (const Predicate& pred : request.predicates) {
+  PutU32(&out, static_cast<uint32_t>(request.scan.projection.size()));
+  for (int attr : request.scan.projection) PutI32(&out, attr);
+  PutU32(&out, static_cast<uint32_t>(request.scan.predicates.size()));
+  for (const Predicate& pred : request.scan.predicates) {
     PutI32(&out, pred.attr_index());
     PutU8(&out, static_cast<uint8_t>(pred.op()));
     PutU8(&out, pred.is_text() ? 1 : 0);
@@ -132,19 +132,19 @@ std::vector<uint8_t> EncodeQueryRequest(const QueryRequest& request) {
     }
   }
   PutU8(&out, static_cast<uint8_t>(request.mode));
-  PutU32(&out, request.block_tuples);
-  PutU8(&out, request.compressed_eval ? 1 : 0);
-  PutU8(&out, request.vectorized ? 1 : 0);
-  PutU8(&out, request.prune ? 1 : 0);
+  PutU32(&out, request.scan.block_tuples);
+  PutU8(&out, request.scan.compressed_eval ? 1 : 0);
+  PutU8(&out, request.scan.vectorized ? 1 : 0);
+  PutU8(&out, request.scan.prune ? 1 : 0);
   PutI32(&out, request.parallelism);
   PutU8(&out, request.ordered ? 1 : 0);
   PutU8(&out, request.collect_rows ? 1 : 0);
   PutU64(&out, request.limit_rows);
   PutU64(&out, static_cast<uint64_t>(request.timeout.count()));
   PutI32(&out, request.max_retries);
-  PutU8(&out, static_cast<uint8_t>(request.range.unit));
-  PutU64(&out, request.range.first);
-  PutU64(&out, request.range.count);
+  PutU8(&out, static_cast<uint8_t>(request.scan.range.unit));
+  PutU64(&out, request.scan.range.first);
+  PutU64(&out, request.scan.range.count);
   return out;
 }
 
@@ -155,7 +155,7 @@ Result<QueryRequest> DecodeQueryRequest(const uint8_t* data, size_t size) {
   const uint32_t num_proj = in.U32();
   if (num_proj > kMaxFrameBytes / 4) return Truncated("projection");
   for (uint32_t i = 0; i < num_proj && in.ok(); ++i) {
-    request.projection.push_back(in.I32());
+    request.scan.projection.push_back(in.I32());
   }
   const uint32_t num_preds = in.U32();
   if (num_preds > kMaxFrameBytes / 8) return Truncated("predicates");
@@ -167,10 +167,10 @@ Result<QueryRequest> DecodeQueryRequest(const uint8_t* data, size_t size) {
     }
     const bool is_text = in.U8() != 0;
     if (is_text) {
-      request.predicates.push_back(
+      request.scan.predicates.push_back(
           Predicate::Text(attr, static_cast<CompareOp>(op), in.String()));
     } else {
-      request.predicates.push_back(
+      request.scan.predicates.push_back(
           Predicate::Int32(attr, static_cast<CompareOp>(op), in.I32()));
     }
   }
@@ -179,10 +179,10 @@ Result<QueryRequest> DecodeQueryRequest(const uint8_t* data, size_t size) {
     return Status::InvalidArgument("bad query mode on wire");
   }
   request.mode = static_cast<QueryMode>(mode);
-  request.block_tuples = in.U32();
-  request.compressed_eval = in.U8() != 0;
-  request.vectorized = in.U8() != 0;
-  request.prune = in.U8() != 0;
+  request.scan.block_tuples = in.U32();
+  request.scan.compressed_eval = in.U8() != 0;
+  request.scan.vectorized = in.U8() != 0;
+  request.scan.prune = in.U8() != 0;
   request.parallelism = in.I32();
   request.ordered = in.U8() != 0;
   request.collect_rows = in.U8() != 0;
@@ -193,9 +193,9 @@ Result<QueryRequest> DecodeQueryRequest(const uint8_t* data, size_t size) {
   if (unit > static_cast<uint8_t>(ScanRange::Unit::kRows)) {
     return Status::InvalidArgument("bad scan-range unit on wire");
   }
-  request.range.unit = static_cast<ScanRange::Unit>(unit);
-  request.range.first = in.U64();
-  request.range.count = in.U64();
+  request.scan.range.unit = static_cast<ScanRange::Unit>(unit);
+  request.scan.range.first = in.U64();
+  request.scan.range.count = in.U64();
   if (!in.ok() || !in.AtEnd()) return Truncated("query request");
   return request;
 }

@@ -53,9 +53,11 @@ struct ServerHealth {
 /// misbehaving peer can make the server reserve.
 constexpr uint32_t kMaxFrameBytes = 64u << 20;
 
-/// Fields of QueryRequest that travel on the wire. Cancellation tokens
-/// and trace pointers are process-local by nature: a remote client
-/// cancels by closing the connection; traces stay server-side.
+/// Fields of QueryRequest that travel on the wire: all but the scan's
+/// read options (the server reads with its defaults), the cancellation
+/// token and the trace pointer. The last two are process-local by
+/// nature: a remote client cancels by closing the connection; traces
+/// stay server-side.
 std::vector<uint8_t> EncodeQueryRequest(const QueryRequest& request);
 Result<QueryRequest> DecodeQueryRequest(const uint8_t* data, size_t size);
 

@@ -1,16 +1,17 @@
 #include "server/query_engine.h"
 
+#include <functional>
+#include <numeric>
 #include <sstream>
 #include <utility>
 #include <vector>
 
 #include "common/macros.h"
-#include "common/scope_guard.h"
 #include "common/stopwatch.h"
 #include "engine/executor.h"
 #include "engine/open_scanner.h"
+#include "engine/page_source.h"
 #include "engine/parallel_executor.h"
-#include "engine/plan_builder.h"
 #include "engine/scan_spec.h"
 #include "engine/union_all.h"
 #include "engine/zone_pruner.h"
@@ -60,81 +61,46 @@ QueryContext MakeContext(const QueryRequest& request) {
   return ctx;
 }
 
-/// Fills `spec` from the request the way every exclusive-style path
-/// does: explicit projection, engine cache layered under the request's
-/// read options, pruning only when there is something to prune with.
-ScanSpec SpecFromRequest(const QueryRequest& request, const Schema& schema,
-                         BlockCache* cache) {
-  ScanSpec spec;
-  spec.projection = request.projection;
+/// The request's scan as every mode runs it: an empty projection
+/// widened to every attribute, the engine's block cache (if any) under
+/// the request's read options, checked once against the schema.
+Result<ScanSpec> ResolveScan(ScanSpec spec, const Schema& schema,
+                             BlockCache* cache) {
   if (spec.projection.empty()) {
-    for (size_t a = 0; a < schema.num_attributes(); ++a) {
-      spec.projection.push_back(static_cast<int>(a));
-    }
+    spec.projection.resize(schema.num_attributes());
+    std::iota(spec.projection.begin(), spec.projection.end(), 0);
   }
-  spec.predicates = request.predicates;
-  spec.read = request.read;
   if (cache != nullptr) spec.read.cache = cache;
-  spec.range = request.range;
-  if (request.block_tuples > 0) spec.block_tuples = request.block_tuples;
-  spec.compressed_eval = request.compressed_eval;
-  spec.vectorized = request.vectorized;
-  spec.prune = request.prune && !request.predicates.empty();
+  RODB_RETURN_IF_ERROR(ValidateScanAttrs(schema, spec));
   return spec;
 }
 
-/// The serial drain every non-parallel execution shares: opens the
-/// plan, pulls blocks to exhaustion under the context's liveness
-/// checks, and folds rows/blocks/checksum/digest (and collected rows,
-/// under budgeted reservations) into `result`. Counters stay in
-/// `stats`; the caller copies them out after any trace finalization.
-Status DrainSerial(Operator* plan, const QueryRequest& request,
-                   QueryContext* ctx, ExecStats* stats, QueryResult* result) {
-  obs::SpanTimer query_span(stats->trace(), obs::TracePhase::kQuery);
-  {
-    obs::SpanTimer open_span(stats->trace(), obs::TracePhase::kOpen);
-    RODB_RETURN_IF_ERROR(plan->Open());
+/// Admits one run through `gate`, whose memory budget then funds the
+/// run's buffers (collected rows, morsel outputs).
+Result<AdmissionTicket> Admit(AdmissionController* gate,
+                              uint64_t working_set, QueryContext* ctx) {
+  ctx->set_memory_budget(gate->memory_budget());
+  return gate->Admit(working_set, *ctx);
+}
+
+/// The tail every exclusive and snapshot run shares: builds the plan
+/// under the query's stats, drains it through the result fold, finalizes
+/// the trace and copies the counters out.
+Status DrainInto(const QueryRequest& request, const QueryContext* ctx,
+                 const std::function<Result<OperatorPtr>(ExecStats*)>& build,
+                 QueryResult* result) {
+  ExecStats stats;
+  stats.set_context(ctx);
+  stats.set_trace(request.trace);
+  RODB_ASSIGN_OR_RETURN(OperatorPtr plan, build(&stats));
+  ResultFold fold(request, ctx, result);
+  RODB_RETURN_IF_ERROR(Drain(plan.get(), &stats, [&](const TupleBlock& b) {
+    return fold.Add(b.tuple(0), b.size());
+  }));
+  if (request.trace != nullptr) {
+    request.trace->FinalizeFromCounters(stats.counters());
   }
-  auto close_guard = MakeScopeGuard([&] {
-    plan->Close();
-    stats->FoldIo();
-  });
-  uint64_t checksum = kFnv1aSeed;
-  const int width = plan->output_layout().tuple_width;
-  std::vector<MemoryReservation> row_reservations;
-  uint64_t reserved_bytes = 0;
-  while (true) {
-    RODB_RETURN_IF_ERROR(stats->CheckAlive());
-    RODB_ASSIGN_OR_RETURN(TupleBlock * block, plan->Next());
-    if (block == nullptr) break;
-    if (block->empty()) continue;
-    result->blocks += 1;
-    const size_t block_bytes =
-        static_cast<size_t>(block->size()) * static_cast<size_t>(width);
-    checksum = Fnv1aExtend(checksum, block->tuple(0), block_bytes);
-    for (uint32_t i = 0; i < block->size(); ++i) {
-      result->row_digest += Fnv1aExtend(kFnv1aSeed, block->tuple(i),
-                                        static_cast<size_t>(width));
-      ++result->rows;
-      if (request.collect_rows &&
-          (request.limit_rows == 0 ||
-           result->rows_collected < request.limit_rows)) {
-        const uint64_t needed =
-            result->row_data.size() + static_cast<uint64_t>(width);
-        if (needed > reserved_bytes) {
-          constexpr uint64_t kChunk = 256 * 1024;
-          RODB_ASSIGN_OR_RETURN(MemoryReservation hold,
-                                ctx->ReserveMemory(kChunk));
-          row_reservations.push_back(std::move(hold));
-          reserved_bytes += kChunk;
-        }
-        result->row_data.insert(result->row_data.end(), block->tuple(i),
-                                block->tuple(i) + width);
-        ++result->rows_collected;
-      }
-    }
-  }
-  result->output_checksum = checksum;
+  result->counters = stats.counters();
   return Status::OK();
 }
 
@@ -329,12 +295,24 @@ Result<QueryResult> QueryEngine::ExecuteResolved(const QueryRequest& request,
   // Ingest-attached tables shadow the catalog: their data lives across
   // a ROS generation plus segments, so the catalog-table paths below
   // would see at most a stale slice of it.
-  if (std::shared_ptr<IngestStore> store = ingest(request.table)) {
+  std::shared_ptr<IngestStore> store = ingest(request.table);
+  std::shared_ptr<const OpenTable> table;
+  if (store == nullptr) {
+    RODB_ASSIGN_OR_RETURN(table, GetTable(request.table));
+  }
+  RODB_ASSIGN_OR_RETURN(
+      const ScanSpec spec,
+      ResolveScan(request.scan,
+                  store != nullptr ? store->schema() : table->schema(),
+                  cache_.get()));
+  QueryContext ctx = MakeContext(request);
+
+  if (store != nullptr) {
     if (request.mode == QueryMode::kShared) {
       return Status::NotSupported(
           "ingest tables execute exclusively against a snapshot");
     }
-    if (!request.range.is_all()) {
+    if (!spec.range.is_all()) {
       return Status::InvalidArgument(
           "ingest tables scan whole snapshots (range must be All)");
     }
@@ -343,12 +321,8 @@ Result<QueryResult> QueryEngine::ExecuteResolved(const QueryRequest& request,
           "ingest snapshot reads run serial (parallelism must be <= 1)");
     }
     *shared_out = 0;
-    return ExecuteIngest(request, std::move(store), MakeContext(request));
+    return ExecuteIngest(request, spec, *store, std::move(ctx));
   }
-
-  RODB_ASSIGN_OR_RETURN(std::shared_ptr<const OpenTable> table,
-                        GetTable(request.table));
-  QueryContext ctx = MakeContext(request);
 
   bool shared = false;
   switch (request.mode) {
@@ -359,49 +333,47 @@ Result<QueryResult> QueryEngine::ExecuteResolved(const QueryRequest& request,
       if (!options_.scan_sharing) {
         return Status::NotSupported("scan sharing disabled on this engine");
       }
-      if (!request.range.is_all()) {
+      if (!spec.range.is_all()) {
         return Status::InvalidArgument(
             "shared queries scan the whole table (range must be All)");
       }
       shared = true;
       break;
     case QueryMode::kAuto:
-      shared = options_.scan_sharing && request.range.is_all() &&
+      shared = options_.scan_sharing && spec.range.is_all() &&
                !request.ordered && request.parallelism <= 1 &&
                request.trace == nullptr;
       break;
   }
   *shared_out = shared ? 1 : 0;
 
-  return shared ? ExecuteShared(request, std::move(table), std::move(ctx))
-                : ExecuteExclusive(request, *table, std::move(ctx));
+  return shared
+             ? ExecuteShared(request, spec, std::move(table), std::move(ctx))
+             : ExecuteExclusive(request, spec, *table, std::move(ctx));
 }
 
 Result<QueryResult> QueryEngine::ExecuteShared(
-    const QueryRequest& request, std::shared_ptr<const OpenTable> table,
-    QueryContext ctx) {
+    const QueryRequest& request, const ScanSpec& spec,
+    std::shared_ptr<const OpenTable> table, QueryContext ctx) {
   // One shared-admission slot is held while attached; the controller's
   // bounded queue sheds overload and its budget becomes the query's
   // fair share for collected rows.
-  ctx.set_memory_budget(shared_admission_->memory_budget());
   RODB_ASSIGN_OR_RETURN(AdmissionTicket ticket,
-                        shared_admission_->Admit(0, ctx));
+                        Admit(shared_admission_.get(), 0, &ctx));
   std::shared_ptr<CirculatingScan> scan = GetScan(request.table, table);
   if (scan == nullptr) {
     return Status::Cancelled("engine shutting down");
   }
-  return scan->Run(request, std::move(ctx));
+  return scan->Run(request, spec, std::move(ctx));
 }
 
 Result<QueryResult> QueryEngine::ExecuteExclusive(const QueryRequest& request,
+                                                  const ScanSpec& spec,
                                                   const OpenTable& table,
                                                   QueryContext ctx) {
-  ScanSpec spec = SpecFromRequest(request, table.schema(), cache_.get());
-
-  ctx.set_memory_budget(exclusive_admission_->memory_budget());
-  RODB_ASSIGN_OR_RETURN(
-      AdmissionTicket ticket,
-      exclusive_admission_->Admit(EstimateScanWorkingSet(table, spec), ctx));
+  RODB_ASSIGN_OR_RETURN(AdmissionTicket ticket,
+                        Admit(exclusive_admission_.get(),
+                              EstimateScanWorkingSet(table, spec), &ctx));
 
   QueryResult result;
   result.row_layout = BlockLayout::FromSchema(table.schema(),
@@ -421,36 +393,28 @@ Result<QueryResult> QueryEngine::ExecuteExclusive(const QueryRequest& request,
     result.output_checksum = parallel.result.output_checksum;
     result.morsels = parallel.morsels;
     // The morsel merge folds output buffers without re-walking tuples;
-    // the order-independent digest is a serial/shared-path feature.
-    result.row_digest = 0;
+    // the order-independent digest stays 0 (QueryResult::row_digest).
     result.counters = parallel.counters;
     return result;
   }
 
-  ExecStats stats;
-  stats.set_context(&ctx);
-  stats.set_trace(request.trace);
-  RODB_ASSIGN_OR_RETURN(OperatorPtr plan, PlanBuilder::Scan(&table, spec,
-                                                            backend_, &stats)
-                                              .Build());
-  RODB_RETURN_IF_ERROR(DrainSerial(plan.get(), request, &ctx, &stats,
-                                   &result));
-  if (request.trace != nullptr) {
-    request.trace->FinalizeFromCounters(stats.counters());
-  }
-  result.counters = stats.counters();
+  RODB_RETURN_IF_ERROR(DrainInto(
+      request, &ctx,
+      [&](ExecStats* stats) {
+        return OpenScanner(table, spec, backend_, stats);
+      },
+      &result));
   return result;
 }
 
-Result<QueryResult> QueryEngine::ExecuteIngest(
-    const QueryRequest& request, std::shared_ptr<IngestStore> store,
-    QueryContext ctx) {
-  ScanSpec spec = SpecFromRequest(request, store->schema(), cache_.get());
-
+Result<QueryResult> QueryEngine::ExecuteIngest(const QueryRequest& request,
+                                               const ScanSpec& spec,
+                                               const IngestStore& store,
+                                               QueryContext ctx) {
   // Pin the snapshot before admission so its epoch reflects "when the
   // query arrived"; the leases it holds keep every referenced table
   // file alive for the whole run even if a merge commits meanwhile.
-  Snapshot snap = store->Acquire();
+  Snapshot snap = store.Acquire();
   uint64_t working_set = 0;
   if (snap.ros() != nullptr) {
     working_set += EstimateScanWorkingSet(*snap.ros(), spec);
@@ -458,57 +422,46 @@ Result<QueryResult> QueryEngine::ExecuteIngest(
   for (size_t i = 0; i < snap.num_frozen(); ++i) {
     working_set += EstimateScanWorkingSet(snap.frozen(i), spec);
   }
-
-  ctx.set_memory_budget(exclusive_admission_->memory_budget());
-  RODB_ASSIGN_OR_RETURN(AdmissionTicket ticket,
-                        exclusive_admission_->Admit(working_set, ctx));
+  RODB_ASSIGN_OR_RETURN(
+      AdmissionTicket ticket,
+      Admit(exclusive_admission_.get(), working_set, &ctx));
 
   QueryResult result;
-  result.row_layout =
-      BlockLayout::FromSchema(store->schema(), spec.projection);
+  result.row_layout = BlockLayout::FromSchema(store.schema(), spec.projection);
   result.snapshot_epoch = snap.epoch();
   result.snapshot_tuples = snap.visible_tuples();
-
-  ExecStats stats;
-  stats.set_context(&ctx);
-  stats.set_trace(request.trace);
 
   // Snapshot parts in append order: ROS generation, frozen segments
   // oldest first, sealed in-memory segments, then the active tail.
   // UNION ALL of per-part scans delivers each visible tuple exactly
   // once; zone-map pruning (spec.prune) applies per on-disk part.
-  std::vector<OperatorPtr> children;
-  if (snap.ros() != nullptr) {
+  auto build = [&](ExecStats* stats) -> Result<OperatorPtr> {
+    std::vector<OperatorPtr> children;
+    if (snap.ros() != nullptr) {
+      RODB_ASSIGN_OR_RETURN(OperatorPtr scan,
+                            OpenScanner(*snap.ros(), spec, backend_, stats));
+      children.push_back(std::move(scan));
+    }
+    for (size_t i = 0; i < snap.num_frozen(); ++i) {
+      RODB_ASSIGN_OR_RETURN(
+          OperatorPtr scan, OpenScanner(snap.frozen(i), spec, backend_, stats));
+      children.push_back(std::move(scan));
+    }
+    for (size_t i = 0; i < snap.num_sealed(); ++i) {
+      RODB_ASSIGN_OR_RETURN(
+          OperatorPtr scan,
+          ActiveScanOperator::Make(store.schema(), snap.sealed(i), spec,
+                                   stats));
+      children.push_back(std::move(scan));
+    }
+    // Always present (possibly empty), so the union never lacks children.
     RODB_ASSIGN_OR_RETURN(
-        OperatorPtr scan, OpenScanner(*snap.ros(), spec, backend_, &stats));
-    children.push_back(std::move(scan));
-  }
-  for (size_t i = 0; i < snap.num_frozen(); ++i) {
-    RODB_ASSIGN_OR_RETURN(
-        OperatorPtr scan, OpenScanner(snap.frozen(i), spec, backend_, &stats));
-    children.push_back(std::move(scan));
-  }
-  for (size_t i = 0; i < snap.num_sealed(); ++i) {
-    RODB_ASSIGN_OR_RETURN(
-        OperatorPtr scan,
-        ActiveScanOperator::Make(store->schema(), snap.sealed(i), spec,
-                                 &stats));
-    children.push_back(std::move(scan));
-  }
-  // Always present (possibly empty), so the union never lacks children.
-  RODB_ASSIGN_OR_RETURN(
-      OperatorPtr active,
-      ActiveScanOperator::Make(store->schema(), snap.active(), spec, &stats));
-  children.push_back(std::move(active));
-
-  RODB_ASSIGN_OR_RETURN(OperatorPtr plan,
-                        UnionAllOperator::Make(std::move(children), &stats));
-  RODB_RETURN_IF_ERROR(DrainSerial(plan.get(), request, &ctx, &stats,
-                                   &result));
-  if (request.trace != nullptr) {
-    request.trace->FinalizeFromCounters(stats.counters());
-  }
-  result.counters = stats.counters();
+        OperatorPtr active,
+        ActiveScanOperator::Make(store.schema(), snap.active(), spec, stats));
+    children.push_back(std::move(active));
+    return UnionAllOperator::Make(std::move(children), stats);
+  };
+  RODB_RETURN_IF_ERROR(DrainInto(request, &ctx, build, &result));
   return result;
 }
 

@@ -111,14 +111,18 @@ class QueryEngine {
   /// fails before reaching an executor, else 0/1 for the mode split.
   Result<QueryResult> ExecuteResolved(const QueryRequest& request,
                                       int* shared_out);
+  /// The executors below receive the request's resolved scan `spec`.
   Result<QueryResult> ExecuteShared(const QueryRequest& request,
+                                    const ScanSpec& spec,
                                     std::shared_ptr<const OpenTable> table,
                                     QueryContext ctx);
   Result<QueryResult> ExecuteExclusive(const QueryRequest& request,
+                                       const ScanSpec& spec,
                                        const OpenTable& table,
                                        QueryContext ctx);
   Result<QueryResult> ExecuteIngest(const QueryRequest& request,
-                                    std::shared_ptr<IngestStore> store,
+                                    const ScanSpec& spec,
+                                    const IngestStore& store,
                                     QueryContext ctx);
 
   std::string dir_;

@@ -6,12 +6,10 @@
 #include <string>
 #include <vector>
 
-#include "engine/predicate.h"
 #include "engine/query_context.h"
-#include "engine/scan_range.h"
+#include "engine/scan_spec.h"
 #include "engine/tuple_block.h"
 #include "hwmodel/cpu_model.h"
-#include "io/read_options.h"
 #include "storage/schema.h"
 
 namespace rodb {
@@ -40,7 +38,7 @@ enum class QueryMode : uint8_t {
 
 /// The one public way to ask the engine for data:
 ///
-///   select <projection> from <table> where <predicates>
+///   select <scan.projection> from <table> where <scan.predicates>
 ///
 /// plus every execution knob the subsystems underneath understand.
 /// Callers describe the query; `Database::Execute` /
@@ -48,28 +46,17 @@ enum class QueryMode : uint8_t {
 /// circulating shared scan or ingest snapshot) instead of the caller
 /// hand-wiring OpenScanner + Execute or ParallelExecute.
 struct QueryRequest {
-  std::string table;                  ///< catalog name
-  std::vector<int> projection;        ///< table attr indices; empty = all
-  std::vector<Predicate> predicates;  ///< conjunction, schema-indexed
+  std::string table;  ///< catalog name
+  /// The scan, with ScanSpec's defaults; an empty projection means every
+  /// attribute. Execute resolves and validates it once, before choosing
+  /// a mode. Exclusive runs honour every field (the engine's BlockCache
+  /// replaces `scan.read.cache` when it has one; a non-default range
+  /// forces kExclusive under kAuto). Shared runs use only the projection
+  /// and predicates: the circulating stream reads every page with the
+  /// engine's own block size and read options.
+  ScanSpec scan;
 
   QueryMode mode = QueryMode::kAuto;
-  /// I/O knobs for exclusive scans (unit size, prefetch, checksums).
-  /// The engine supplies its own BlockCache; a cache set here is used
-  /// only when the engine has none.
-  ReadOptions read;
-  /// Slice of the table to scan (exclusive mode only; a non-default
-  /// range forces kExclusive under kAuto).
-  ScanRange range;
-  bool compressed_eval = true;  ///< ScanSpec::compressed_eval
-  bool vectorized = true;       ///< ScanSpec::vectorized
-  /// Output block granularity for exclusive scans; 0 = the engine's
-  /// default. Benches align this with page value counts so parallel
-  /// morsel counters merge to exactly the serial ones.
-  uint32_t block_tuples = 0;
-  /// Zone-map pruning for exclusive predicated scans (declines safely).
-  /// Shared circulating scans never prune: the circulating stream must
-  /// serve every attached predicate, so it always reads every page.
-  bool prune = true;
   /// Morsel parallelism for exclusive scans; <= 1 runs serial. Under
   /// kAuto a parallel request executes exclusively.
   int parallelism = 1;
@@ -107,9 +94,11 @@ struct QueryResult {
   /// attach_position == 0).
   uint64_t output_checksum = 0;
   /// Order-independent digest: the wrapping sum of each output tuple's
-  /// FNV-1a hash. Identical across shared and exclusive execution of
-  /// the same query regardless of attach position -- the equality the
-  /// scan-sharing tests pin.
+  /// FNV-1a hash. Identical across shared, exclusive and snapshot
+  /// execution of the same query regardless of attach position -- the
+  /// equality the scan-sharing tests pin. Parallel runs report 0 (their
+  /// morsel merge never re-walks tuples); a parallel request with
+  /// collect_rows runs serially and carries it.
   uint64_t row_digest = 0;
 
   bool shared = false;          ///< served by a circulating scan
@@ -141,6 +130,34 @@ struct QueryResult {
     return row_data.data() +
            i * static_cast<uint64_t>(row_layout.tuple_width);
   }
+};
+
+/// The one fold from output tuples to a QueryResult's rows, blocks,
+/// chained checksum, order-independent digest and collected rows, shared
+/// by the exclusive and snapshot drains and by every shared rider.
+/// Collected rows (collect_rows, at most limit_rows of them) grow in
+/// budgeted steps, so a query over its MemoryBudget fails with
+/// ResourceExhausted instead of ballooning.
+class ResultFold {
+ public:
+  /// Folds into `out` (its row_layout gives the tuple width); `ctx` funds
+  /// the collected rows. Both borrowed.
+  ResultFold(const QueryRequest& request, const QueryContext* ctx,
+             QueryResult* out);
+
+  /// Folds one output block: `count` > 0 tuples of the result's width,
+  /// back to back.
+  Status Add(const uint8_t* tuples, uint32_t count);
+
+  /// Returns the budget held for the collected rows (the rows stay).
+  void ReleaseMemory() { reservations_.clear(); }
+
+ private:
+  const QueryContext* ctx_;
+  QueryResult* out_;
+  uint64_t collect_limit_;  ///< tuples to collect
+  uint64_t reserved_bytes_ = 0;
+  std::vector<MemoryReservation> reservations_;
 };
 
 /// The write-side counterpart of QueryRequest: one batch of raw tuples

@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "common/macros.h"
+#include "engine/page_source.h"
 
 namespace rodb {
 
@@ -11,21 +12,11 @@ Result<OperatorPtr> ActiveScanOperator::Make(const Schema& schema,
                                              ActiveView view,
                                              const ScanSpec& spec,
                                              ExecStats* stats) {
-  if (spec.projection.empty()) {
-    return Status::InvalidArgument("active scan needs a projection");
-  }
-  for (int attr : spec.projection) {
-    if (attr < 0 || static_cast<size_t>(attr) >= schema.num_attributes()) {
-      return Status::InvalidArgument("projection attribute out of range");
-    }
-  }
+  RODB_RETURN_IF_ERROR(ValidateScanAttrs(schema, spec));
   for (const Predicate& pred : spec.predicates) {
-    const int attr = pred.attr_index();
-    if (attr < 0 || static_cast<size_t>(attr) >= schema.num_attributes()) {
-      return Status::InvalidArgument("predicate attribute out of range");
-    }
-    const bool text = schema.attribute(static_cast<size_t>(attr)).type ==
-                      AttrType::kFixedText;
+    const bool text =
+        schema.attribute(static_cast<size_t>(pred.attr_index())).type ==
+        AttrType::kFixedText;
     if (text != pred.is_text()) {
       return Status::InvalidArgument("predicate type does not match attribute");
     }

@@ -20,8 +20,8 @@ namespace rodb {
 /// the segment it came from is frozen and reset.
 class ActiveScanOperator final : public Operator {
  public:
-  /// Validates the spec (projection/predicate indices against the
-  /// schema) like OpenScanner does for tables.
+  /// Validates the spec against the schema (ValidateScanAttrs, plus
+  /// predicate types) like OpenScanner does for tables.
   static Result<OperatorPtr> Make(const Schema& schema, ActiveView view,
                                   const ScanSpec& spec, ExecStats* stats);
 

@@ -210,7 +210,7 @@ struct OracleAnswer {
 
 OracleAnswer Oracle(const Reference& ref, const Schema& schema,
                     const QueryRequest& request) {
-  std::vector<int> projection = request.projection;
+  std::vector<int> projection = request.scan.projection;
   if (projection.empty()) {
     for (size_t a = 0; a < schema.num_attributes(); ++a) {
       projection.push_back(static_cast<int>(a));
@@ -221,7 +221,7 @@ OracleAnswer Oracle(const Reference& ref, const Schema& schema,
   for (const auto& row : ref) {
     const uint8_t* tuple = row.data();
     bool pass = true;
-    for (const Predicate& pred : request.predicates) {
+    for (const Predicate& pred : request.scan.predicates) {
       if (!pred.Eval(tuple + schema.attr_offset(
                                  static_cast<size_t>(pred.attr_index())))) {
         pass = false;
@@ -367,22 +367,22 @@ Status Runner::RunIteration(uint64_t iter) {
     request.table = table;
     switch (rng.Uniform(4)) {  // projection variety
       case 0:
-        request.projection = {static_cast<int>(rng.Uniform(num_attrs))};
+        request.scan.projection = {static_cast<int>(rng.Uniform(num_attrs))};
         break;
       case 1:
-        request.projection = {static_cast<int>(num_attrs) - 1, 0};
+        request.scan.projection = {static_cast<int>(num_attrs) - 1, 0};
         break;
       default:
         break;  // empty = all
     }
     switch (rng.Uniform(3)) {  // predicate variety
       case 0:
-        request.predicates = {Predicate::Int32(
+        request.scan.predicates = {Predicate::Int32(
             static_cast<int>(rng.Uniform(num_attrs)), CompareOp::kLt,
             static_cast<int32_t>(rng.Uniform(1000)))};
         break;
       case 1:
-        request.predicates = {
+        request.scan.predicates = {
             Predicate::Int32(ingest_options.sort_attr, CompareOp::kGe,
                              static_cast<int32_t>(rng.Uniform(1000))),
             Predicate::Int32(static_cast<int>(rng.Uniform(num_attrs)),

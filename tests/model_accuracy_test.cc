@@ -190,6 +190,7 @@ TEST_F(ModelAccuracyTest, GridOfLayoutCodecSelectivityConfigs) {
       for (const Sel sel : {Sel::kAll, Sel::kHalf, Sel::kNone}) {
         ScanSpec spec;
         spec.read.io_unit_bytes = 4096;
+        spec.prune = false;  // the physics predicted here are unpruned
         ScanPhysicsHints hints;
         const bool col_default =
             v.layout == Layout::kColumn && v.impl == ScannerImpl::kAuto;

@@ -183,6 +183,7 @@ TEST_F(PaxScannerTest, EarlyMatDecodesEverythingAtLowSelectivity) {
   ScanSpec spec = BaseSpec();
   spec.projection = {1, 2};
   spec.predicates = {Predicate::Int32(1, CompareOp::kLt, 2)};  // ~0.2%
+  spec.prune = false;  // no page may be skipped: early mat walks all
   ExecStats pipelined_stats, early_stats;
   ASSERT_OK_AND_ASSIGN(
       auto pipelined,

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/bytes.h"
+#include "engine/open_scanner.h"
 #include "engine/plan_builder.h"
 #include "scan_test_util.h"
 
@@ -106,6 +107,27 @@ TEST_F(PlanBuilderTest, ErrorsSurfaceAtBuild) {
                    .Build()
                    .ok());
   EXPECT_FALSE(PlanBuilder::From(nullptr, &stats_).Build().ok());
+}
+
+TEST_F(PlanBuilderTest, EveryScannerRejectsZeroBlockTuples) {
+  // Refused at open: a zero-tuple block would end the scan at once (row,
+  // PAX, early mat) or never hand back a block (column).
+  ScanSpec spec;
+  spec.projection = {0, 1};
+  spec.read.io_unit_bytes = 4096;
+  spec.block_tuples = 0;
+  const std::pair<const char*, ScannerImpl> scanners[] = {
+      {"t_row", ScannerImpl::kAuto},
+      {"t_col", ScannerImpl::kAuto},
+      {"t_pax", ScannerImpl::kAuto},
+      {"t_col", ScannerImpl::kEarlyMat}};
+  for (const auto& [name, impl] : scanners) {
+    ASSERT_OK_AND_ASSIGN(OpenTable table, OpenTable::Open(dir_.path(), name));
+    ExecStats stats;
+    EXPECT_EQ(OpenScanner(table, spec, &backend_, &stats, impl).status().code(),
+              StatusCode::kInvalidArgument)
+        << name;
+  }
 }
 
 TEST(ScanPipelineAttrsTest, PredicatesFirstThenProjectionDeduped) {

@@ -21,24 +21,24 @@ namespace {
 QueryRequest FullRequest() {
   QueryRequest request;
   request.table = "lineitem_col";
-  request.projection = {2, 0, 5};
-  request.predicates = {
+  request.scan.projection = {2, 0, 5};
+  request.scan.predicates = {
       Predicate::Int32(1, CompareOp::kLt, -42),
       Predicate::Text(3, CompareOp::kEq, "east    "),
       Predicate::Int32(0, CompareOp::kGe, 1000),
   };
   request.mode = QueryMode::kShared;
-  request.block_tuples = 4096;
-  request.compressed_eval = false;
-  request.vectorized = false;
-  request.prune = false;
+  request.scan.block_tuples = 4096;
+  request.scan.compressed_eval = false;
+  request.scan.vectorized = false;
+  request.scan.prune = false;
   request.parallelism = 8;
   request.ordered = true;
   request.collect_rows = true;
   request.limit_rows = 123456789;
   request.timeout = std::chrono::milliseconds(2500);
   request.max_retries = 3;
-  request.range = ScanRange::Rows(77, 99999);
+  request.scan.range = ScanRange::Rows(77, 99999);
   return request;
 }
 
@@ -49,11 +49,11 @@ TEST(ProtocolTest, QueryRequestRoundTrip) {
                        DecodeQueryRequest(wire.data(), wire.size()));
 
   EXPECT_EQ(decoded.table, request.table);
-  EXPECT_EQ(decoded.projection, request.projection);
-  ASSERT_EQ(decoded.predicates.size(), request.predicates.size());
-  for (size_t i = 0; i < request.predicates.size(); ++i) {
-    const Predicate& got = decoded.predicates[i];
-    const Predicate& want = request.predicates[i];
+  EXPECT_EQ(decoded.scan.projection, request.scan.projection);
+  ASSERT_EQ(decoded.scan.predicates.size(), request.scan.predicates.size());
+  for (size_t i = 0; i < request.scan.predicates.size(); ++i) {
+    const Predicate& got = decoded.scan.predicates[i];
+    const Predicate& want = request.scan.predicates[i];
     EXPECT_EQ(got.attr_index(), want.attr_index());
     EXPECT_EQ(got.op(), want.op());
     ASSERT_EQ(got.is_text(), want.is_text());
@@ -64,19 +64,19 @@ TEST(ProtocolTest, QueryRequestRoundTrip) {
     }
   }
   EXPECT_EQ(decoded.mode, request.mode);
-  EXPECT_EQ(decoded.block_tuples, request.block_tuples);
-  EXPECT_EQ(decoded.compressed_eval, request.compressed_eval);
-  EXPECT_EQ(decoded.vectorized, request.vectorized);
-  EXPECT_EQ(decoded.prune, request.prune);
+  EXPECT_EQ(decoded.scan.block_tuples, request.scan.block_tuples);
+  EXPECT_EQ(decoded.scan.compressed_eval, request.scan.compressed_eval);
+  EXPECT_EQ(decoded.scan.vectorized, request.scan.vectorized);
+  EXPECT_EQ(decoded.scan.prune, request.scan.prune);
   EXPECT_EQ(decoded.parallelism, request.parallelism);
   EXPECT_EQ(decoded.ordered, request.ordered);
   EXPECT_EQ(decoded.collect_rows, request.collect_rows);
   EXPECT_EQ(decoded.limit_rows, request.limit_rows);
   EXPECT_EQ(decoded.timeout, request.timeout);
   EXPECT_EQ(decoded.max_retries, request.max_retries);
-  EXPECT_EQ(decoded.range.unit, request.range.unit);
-  EXPECT_EQ(decoded.range.first, request.range.first);
-  EXPECT_EQ(decoded.range.count, request.range.count);
+  EXPECT_EQ(decoded.scan.range.unit, request.scan.range.unit);
+  EXPECT_EQ(decoded.scan.range.first, request.scan.range.first);
+  EXPECT_EQ(decoded.scan.range.count, request.scan.range.count);
 }
 
 TEST(ProtocolTest, DefaultRequestRoundTrip) {
@@ -86,11 +86,12 @@ TEST(ProtocolTest, DefaultRequestRoundTrip) {
   ASSERT_OK_AND_ASSIGN(QueryRequest decoded,
                        DecodeQueryRequest(wire.data(), wire.size()));
   EXPECT_EQ(decoded.table, "t");
-  EXPECT_TRUE(decoded.projection.empty());
-  EXPECT_TRUE(decoded.predicates.empty());
+  EXPECT_TRUE(decoded.scan.projection.empty());
+  EXPECT_TRUE(decoded.scan.predicates.empty());
   EXPECT_EQ(decoded.mode, QueryMode::kAuto);
-  EXPECT_EQ(decoded.block_tuples, 0u);
-  EXPECT_TRUE(decoded.range.is_all());
+  EXPECT_EQ(decoded.scan.block_tuples, kDefaultBlockTuples);
+  EXPECT_TRUE(decoded.scan.prune);
+  EXPECT_TRUE(decoded.scan.range.is_all());
   EXPECT_EQ(decoded.timeout.count(), 0);
 }
 
@@ -321,7 +322,7 @@ TEST(ProtocolTest, FrameReaderRejectsOversizedFrame) {
 TEST(ProtocolTest, DecodeRejectsBadCompareOp) {
   QueryRequest request;
   request.table = "t";
-  request.predicates = {Predicate::Int32(0, CompareOp::kGe, 1)};
+  request.scan.predicates = {Predicate::Int32(0, CompareOp::kGe, 1)};
   std::vector<uint8_t> wire = EncodeQueryRequest(request);
   // The op byte follows table (4+1) + projection count (4) + predicate
   // count (4) + attr index (4).

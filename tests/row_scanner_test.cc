@@ -67,6 +67,7 @@ TEST_F(RowScannerTest, FullScanReturnsEveryTuple) {
 TEST_F(RowScannerTest, PredicateFilters) {
   ScanSpec spec = BaseSpec();
   spec.predicates = {Predicate::Int32(1, CompareOp::kLt, 100)};
+  spec.prune = false;  // every tuple is evaluated
   ASSERT_OK_AND_ASSIGN(
       auto scanner, RowScanner::Make(&table_, spec, &backend_, &stats_));
   ASSERT_OK_AND_ASSIGN(auto tuples, CollectTuples(scanner.get()));

@@ -139,6 +139,7 @@ ScanSpec MakeRandomSpec(Random* rng, const Schema& schema) {
   }
   spec.read.io_unit_bytes = 4096;
   spec.read.prefetch_depth = static_cast<int>(rng->UniformRange(1, 8));
+  spec.prune = false;  // the unpruned baseline; the prune axis turns it on
   return spec;
 }
 

@@ -134,6 +134,25 @@ class ServerTest : public ::testing::Test {
     ASSERT_OK(LoadAllLayouts(dir_.path(), "t", schema, TestTuples()));
   }
 
+  /// Attaches ingest table `name` (the test schema) to `engine`, holding
+  /// one frozen segment and an in-memory tail.
+  void AttachIngest(QueryEngine* engine, const std::string& name) {
+    ASSERT_OK_AND_ASSIGN(Schema schema, TestSchema());
+    ASSERT_OK(engine->EnsureIngest(name, schema));
+    std::vector<uint8_t> bytes;
+    for (const auto& tuple : TestTuples(500)) {
+      bytes.insert(bytes.end(), tuple.begin(), tuple.end());
+    }
+    IngestRequest batch;
+    batch.table = name;
+    for (const uint64_t count : {300, 200}) {
+      batch.count = count;
+      batch.data.assign(bytes.begin(), bytes.begin() + count * kTupleWidth);
+      batch.freeze = count == 300;
+      ASSERT_OK(engine->Ingest(batch).status());
+    }
+  }
+
   EngineOptions SmallIoOptions() {
     EngineOptions options;
     options.shared_read.io_unit_bytes = 4096;
@@ -156,7 +175,7 @@ TEST_F(ServerTest, AutoModeRoutesFullScansToSharedOnly) {
 
   QueryRequest ranged = request;
   ranged.table = "t_col";  // row ranges need the column layout
-  ranged.range = ScanRange::Rows(0, 100);
+  ranged.scan.range = ScanRange::Rows(0, 100);
   ASSERT_OK_AND_ASSIGN(QueryResult r, engine.Execute(ranged));
   EXPECT_FALSE(r.shared);
   EXPECT_EQ(r.rows, 100u);
@@ -194,7 +213,7 @@ TEST_F(ServerTest, SharedRejectsRangedScans) {
   QueryRequest request;
   request.table = "t_row";
   request.mode = QueryMode::kShared;
-  request.range = ScanRange::Rows(10, 50);
+  request.scan.range = ScanRange::Rows(10, 50);
   EXPECT_EQ(engine.Execute(request).status().code(),
             StatusCode::kInvalidArgument);
 }
@@ -226,8 +245,8 @@ TEST_F(ServerTest, SharedMatchesExclusiveAcrossLayoutsAndPredicates) {
     for (size_t c = 0; c < std::size(cases); ++c) {
       QueryRequest request;
       request.table = table;
-      request.projection = cases[c].projection;
-      request.predicates = cases[c].predicates;
+      request.scan.projection = cases[c].projection;
+      request.scan.predicates = cases[c].predicates;
 
       request.mode = QueryMode::kExclusive;
       ASSERT_OK_AND_ASSIGN(QueryResult exclusive, engine.Execute(request));
@@ -246,12 +265,56 @@ TEST_F(ServerTest, SharedMatchesExclusiveAcrossLayoutsAndPredicates) {
   }
 }
 
+// Every mode runs the scan the engine resolved and validated once, so a
+// bad scan fails with one status however it would have executed.
+TEST_F(ServerTest, BadScanFailsAlikeInEveryMode) {
+  QueryEngine engine(dir_.path());
+  AttachIngest(&engine, "events");
+  struct Case {
+    ScanSpec scan;
+    StatusCode code;
+  };
+  Case cases[] = {{{}, StatusCode::kOutOfRange},
+                  {{}, StatusCode::kOutOfRange},
+                  {{}, StatusCode::kOutOfRange},
+                  {{}, StatusCode::kInvalidArgument}};
+  cases[0].scan.projection = {99};
+  cases[1].scan.projection = {-1};
+  cases[2].scan.predicates = {Predicate::Int32(42, CompareOp::kLt, 7)};
+  cases[3].scan.block_tuples = 0;
+  for (const Case& c : cases) {
+    for (const std::string mode :
+         {"shared", "exclusive", "parallel", "snapshot"}) {
+      QueryRequest request;
+      request.table = mode == "snapshot" ? "events" : "t_row";
+      request.scan = c.scan;
+      request.mode =
+          mode == "shared" ? QueryMode::kShared : QueryMode::kExclusive;
+      if (mode == "parallel") request.parallelism = 2;
+      EXPECT_EQ(engine.Execute(request).status().code(), c.code) << mode;
+    }
+  }
+}
+
+TEST_F(ServerTest, ZeroSharedBlockTuplesFailsSharedQueries) {
+  EngineOptions options;
+  options.shared_block_tuples = 0;
+  QueryEngine engine(dir_.path(), options);
+  QueryRequest request;
+  request.table = "t_row";
+  request.mode = QueryMode::kShared;
+  // Bounds the wait on a circulation whose windows could never advance.
+  request.timeout = std::chrono::milliseconds(2000);
+  EXPECT_EQ(engine.Execute(request).status().code(),
+            StatusCode::kInvalidArgument);
+}
+
 TEST_F(ServerTest, ParallelExclusiveMatchesSerial) {
   QueryEngine engine(dir_.path());
   QueryRequest request;
   request.table = "t_row";
   request.mode = QueryMode::kExclusive;
-  request.predicates = {Predicate::Int32(1, CompareOp::kLt, 250)};
+  request.scan.predicates = {Predicate::Int32(1, CompareOp::kLt, 250)};
   ASSERT_OK_AND_ASSIGN(QueryResult serial, engine.Execute(request));
   request.parallelism = 4;
   ASSERT_OK_AND_ASSIGN(QueryResult parallel, engine.Execute(request));
@@ -265,7 +328,7 @@ TEST_F(ServerTest, ExclusiveCollectRowsHonorsLimit) {
   QueryRequest request;
   request.table = "t_row";
   request.mode = QueryMode::kExclusive;
-  request.projection = {0};
+  request.scan.projection = {0};
   request.collect_rows = true;
   request.limit_rows = 7;
   ASSERT_OK_AND_ASSIGN(QueryResult result, engine.Execute(request));
@@ -302,7 +365,7 @@ TEST_F(ServerTest, MidFlightAttachSeesExactlyOneCirculation) {
   // once, in circulation order (table order rotated by the attach
   // position).
   QueryRequest request_b = request;
-  request_b.projection = {0};
+  request_b.scan.projection = {0};
   request_b.collect_rows = true;
   Result<QueryResult> result_b = Status::Internal("not run");
   std::thread thread_b(
@@ -483,7 +546,7 @@ TEST_F(ServerTest, DatabaseExecuteFacade) {
   db.ConfigureEngine(options);
   QueryRequest request;
   request.table = "t_col";
-  request.predicates = {Predicate::Int32(1, CompareOp::kLt, 100)};
+  request.scan.predicates = {Predicate::Int32(1, CompareOp::kLt, 100)};
   ASSERT_OK_AND_ASSIGN(QueryResult result, db.Execute(request));
   EXPECT_GT(result.rows, 0u);
   EXPECT_LT(result.rows, kNumTuples);
@@ -504,8 +567,8 @@ TEST_F(ServerTest, SocketEndToEnd) {
 
   QueryRequest request;
   request.table = "t_row";
-  request.projection = {0, 1};
-  request.predicates = {Predicate::Int32(1, CompareOp::kLt, 100)};
+  request.scan.projection = {0, 1};
+  request.scan.predicates = {Predicate::Int32(1, CompareOp::kLt, 100)};
   request.collect_rows = true;
   request.limit_rows = 5;
   ASSERT_OK_AND_ASSIGN(QueryResult remote, client.Execute(request));
@@ -579,7 +642,7 @@ TEST_F(ServerTest, SocketIngestEndToEnd) {
   // Remote snapshot query sees exactly the append-order prefix.
   QueryRequest query;
   query.table = "events";
-  query.predicates = {Predicate::Int32(1, CompareOp::kLt, 100)};
+  query.scan.predicates = {Predicate::Int32(1, CompareOp::kLt, 100)};
   ASSERT_OK_AND_ASSIGN(QueryResult remote, client.Execute(query));
   EXPECT_EQ(remote.snapshot_tuples, 500u);
   ASSERT_OK_AND_ASSIGN(QueryResult local, server.engine().Execute(query));

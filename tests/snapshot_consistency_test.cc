@@ -74,7 +74,7 @@ struct OracleAnswer {
 
 OracleAnswer Oracle(const Reference& ref, uint64_t visible,
                     const Schema& schema, const QueryRequest& request) {
-  std::vector<int> projection = request.projection;
+  std::vector<int> projection = request.scan.projection;
   if (projection.empty()) {
     for (size_t a = 0; a < schema.num_attributes(); ++a) {
       projection.push_back(static_cast<int>(a));
@@ -85,7 +85,7 @@ OracleAnswer Oracle(const Reference& ref, uint64_t visible,
   for (uint64_t i = 0; i < visible; ++i) {
     const uint8_t* tuple = ref[i].data();
     bool pass = true;
-    for (const Predicate& pred : request.predicates) {
+    for (const Predicate& pred : request.scan.predicates) {
       if (!pred.Eval(tuple + schema.attr_offset(
                                  static_cast<size_t>(pred.attr_index())))) {
         pass = false;
@@ -149,18 +149,18 @@ TEST_P(SnapshotSweepTest, SnapshotReadsMatchOracle) {
     QueryRequest request;
     request.table = "events";
     switch (rng() % 4) {  // projection variety
-      case 0: request.projection = {0}; break;
-      case 1: request.projection = {1}; break;
-      case 2: request.projection = {1, 0}; break;
+      case 0: request.scan.projection = {0}; break;
+      case 1: request.scan.projection = {1}; break;
+      case 2: request.scan.projection = {1, 0}; break;
       default: break;  // empty = all
     }
     switch (rng() % 3) {  // predicate variety
       case 0:
-        request.predicates = {
+        request.scan.predicates = {
             Predicate::Int32(0, CompareOp::kLt, value(rng))};
         break;
       case 1:
-        request.predicates = {
+        request.scan.predicates = {
             Predicate::Int32(0, CompareOp::kGe, value(rng)),
             Predicate::Int32(1, CompareOp::kLt, value(rng))};
         break;

@@ -44,6 +44,7 @@
 #include <functional>
 #include <iostream>
 #include <memory>
+#include <numeric>
 #include <string>
 #include <thread>
 #include <vector>
@@ -284,17 +285,22 @@ Status CmdScan(const std::string& dir, const std::string& name,
 
   QueryRequest request;
   request.table = name;
-  request.read.io_unit_bytes =
+  // Every attribute in schema order: how the rows print, and what the
+  // model comparison below predicts from.
+  request.scan.projection.resize(schema.num_attributes());
+  std::iota(request.scan.projection.begin(), request.scan.projection.end(),
+            0);
+  request.scan.read.io_unit_bytes =
       RoundUp(meta.page_size * 32, meta.page_size);
   if (where_attr != nullptr) {
     RODB_ASSIGN_OR_RETURN(
         Predicate pred,
         ParsePredicate(schema, where_attr, where_op, where_value));
-    request.predicates.push_back(std::move(pred));
+    request.scan.predicates.push_back(std::move(pred));
   }
   // Zone-map pruning defaults on for predicated scans; the synopsis layer
   // makes the pruned scan return exactly the unpruned tuples.
-  request.prune = !no_prune;
+  request.scan.prune = !no_prune;
   // Print in table order; also keeps the traced run exclusive so the
   // span tree covers a private scan.
   request.ordered = true;
@@ -363,16 +369,11 @@ Status CmdScan(const std::string& dir, const std::string& name,
       std::printf("\nmodel comparison unavailable for ingest tables\n");
       return Status::OK();
     }
-    // The model comparison predicts from the physical table + spec; the
-    // handle here is display-only (the engine keeps its own).
+    // The model comparison predicts from the physical table + the scan
+    // that ran; the handle here is display-only (the engine keeps its
+    // own).
     RODB_ASSIGN_OR_RETURN(OpenTable table, OpenTable::Open(dir, name));
-    ScanSpec spec;
-    for (size_t a = 0; a < schema.num_attributes(); ++a) {
-      spec.projection.push_back(static_cast<int>(a));
-    }
-    spec.predicates = request.predicates;
-    spec.read = request.read;
-    spec.prune = request.prune && !request.predicates.empty();
+    const ScanSpec& spec = request.scan;
     const PrunePlan prune_plan = BuildPrunePlan(table, spec);
     const auto physics = obs::PredictScanPhysics(
         table, spec, ScannerImpl::kAuto, obs::ScanPhysicsHints{},
@@ -441,7 +442,7 @@ Status CmdQuery(const std::string& endpoint, const std::string& table,
       return Status::InvalidArgument("unknown operator " + ops);
     }
     const long value = std::strtol(where_value, &end, 10);
-    request.predicates.push_back(
+    request.scan.predicates.push_back(
         end != where_value && *end == '\0'
             ? Predicate::Int32(static_cast<int>(attr), op,
                                static_cast<int32_t>(value))

@@ -41,6 +41,13 @@ rodb_bench(server_concurrency)
 rodb_bench(ingest_merge)
 rodb_bench(ingest_soak)
 
+# Morsel-parallel smoke: QueryEngine::Execute at 1/2/4/8 threads on row
+# and column LINEITEM must match the serial checksum and modeled timing
+# (the bench aborts on a mismatch).
+add_test(NAME parallel_scan_smoke COMMAND parallel_scan_bench)
+set_tests_properties(parallel_scan_smoke PROPERTIES ENVIRONMENT
+  "RODB_BENCH_TUPLES=100000;RODB_BENCH_DIR=${CMAKE_BINARY_DIR}/parallel_scan_smoke")
+
 # Golden check over the figure benches' stdout (bench/golden/).
 add_test(NAME figure_golden_test
   COMMAND ${CMAKE_COMMAND}

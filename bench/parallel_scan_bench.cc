@@ -4,7 +4,8 @@
 // worker threads through the public QueryEngine::Execute facade
 // (QueryRequest::parallelism picks the morsel plan) and reports
 // wall-clock scaling as JSON lines, one object per (layout, threads)
-// point. Two invariants are checked and reported per point:
+// point. Two invariants are reported per point, and a violation of
+// either aborts the run:
 //   - output_checksum equals the serial execution's checksum, and
 //   - ModelQueryTiming on the merged+normalized counters equals the
 //     serial model numbers (parallelism changes wall clock, never the
@@ -178,6 +179,7 @@ int main(int argc, char** argv) {
           model, model == serial_model ? "true" : "false",
           model_json.c_str());
       RODB_CHECK(checksum == serial->output_checksum);
+      RODB_CHECK(model == serial_model);
     }
   }
   return 0;

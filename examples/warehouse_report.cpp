@@ -47,21 +47,18 @@ Status RunQ1(const std::string& dir, Layout layout) {
   RODB_ASSIGN_OR_RETURN(OperatorPtr agg,
                         SortAggOperator::Make(std::move(scan), plan, &stats));
   IntervalTimer timer;
-  RODB_RETURN_IF_ERROR(agg->Open());
   std::printf("Q1 on %-12s  lines  sum(qty)  count     avg\n",
               table_name.c_str());
-  while (true) {
-    RODB_ASSIGN_OR_RETURN(TupleBlock * block, agg->Next());
-    if (block == nullptr) break;
-    for (uint32_t i = 0; i < block->size(); ++i) {
+  RODB_RETURN_IF_ERROR(Drain(agg.get(), &stats, [](const TupleBlock& block) {
+    for (uint32_t i = 0; i < block.size(); ++i) {
       std::printf("   line %-12d %9lld %8lld %7lld\n",
-                  LoadLE32s(block->attr(i, 0)),
-                  static_cast<long long>(LoadLE64(block->attr(i, 1))),
-                  static_cast<long long>(LoadLE64(block->attr(i, 2))),
-                  static_cast<long long>(LoadLE64(block->attr(i, 3))));
+                  LoadLE32s(block.attr(i, 0)),
+                  static_cast<long long>(LoadLE64(block.attr(i, 1))),
+                  static_cast<long long>(LoadLE64(block.attr(i, 2))),
+                  static_cast<long long>(LoadLE64(block.attr(i, 3))));
     }
-  }
-  agg->Close();
+    return Status::OK();
+  }));
   const MeasuredInterval m = timer.Lap();
   std::printf("   -> %.0f ms wall, %.1f MB read\n\n",
               m.wall_seconds * 1e3,
@@ -97,18 +94,15 @@ Status RunQ2(const std::string& dir, Layout layout) {
   plan.aggs = {{AggFunc::kCount, 0}, {AggFunc::kSum, 2}};  // qty is col 2
   RODB_ASSIGN_OR_RETURN(OperatorPtr agg,
                         HashAggOperator::Make(std::move(join), plan, &stats));
-  RODB_RETURN_IF_ERROR(agg->Open());
   long long joined = 0, qty_sum = 0;
   IntervalTimer timer;
-  while (true) {
-    RODB_ASSIGN_OR_RETURN(TupleBlock * block, agg->Next());
-    if (block == nullptr) break;
-    for (uint32_t i = 0; i < block->size(); ++i) {
-      joined = static_cast<long long>(LoadLE64(block->attr(i, 0)));
-      qty_sum = static_cast<long long>(LoadLE64(block->attr(i, 1)));
+  RODB_RETURN_IF_ERROR(Drain(agg.get(), &stats, [&](const TupleBlock& block) {
+    for (uint32_t i = 0; i < block.size(); ++i) {
+      joined = static_cast<long long>(LoadLE64(block.attr(i, 0)));
+      qty_sum = static_cast<long long>(LoadLE64(block.attr(i, 1)));
     }
-  }
-  agg->Close();
+    return Status::OK();
+  }));
   const MeasuredInterval m = timer.Lap();
   std::printf("Q2 on %s layout: %lld joined lineitems, sum(qty)=%lld, "
               "%.0f ms wall, %.1f MB read\n",

@@ -56,28 +56,35 @@ void AggAccumulator::Reset() {
   }
 }
 
+void AggAccumulator::Fold(size_t i, int64_t v) {
+  switch ((*aggs_)[i].func) {
+    case AggFunc::kSum:
+    case AggFunc::kAvg:
+      acc_[i] += v;
+      break;
+    case AggFunc::kMin:
+      acc_[i] = std::min(acc_[i], v);
+      break;
+    case AggFunc::kMax:
+      acc_[i] = std::max(acc_[i], v);
+      break;
+    case AggFunc::kCount:
+      break;
+  }
+}
+
 void AggAccumulator::Update(const TupleBlock& block, uint32_t row) {
   ++count_;
   for (size_t i = 0; i < aggs_->size(); ++i) {
     const AggSpec& spec = (*aggs_)[i];
     if (spec.func == AggFunc::kCount) continue;
-    const int64_t v =
-        LoadLE32s(block.attr(row, static_cast<size_t>(spec.column)));
-    switch (spec.func) {
-      case AggFunc::kSum:
-      case AggFunc::kAvg:
-        acc_[i] += v;
-        break;
-      case AggFunc::kMin:
-        acc_[i] = std::min(acc_[i], v);
-        break;
-      case AggFunc::kMax:
-        acc_[i] = std::max(acc_[i], v);
-        break;
-      case AggFunc::kCount:
-        break;
-    }
+    Fold(i, LoadLE32s(block.attr(row, static_cast<size_t>(spec.column))));
   }
+}
+
+void AggAccumulator::Update(const int32_t* inputs) {
+  ++count_;
+  for (size_t i = 0; i < aggs_->size(); ++i) Fold(i, inputs[i]);
 }
 
 void AggAccumulator::Emit(uint8_t* out) const {
@@ -249,42 +256,16 @@ Result<TupleBlock*> SortAggOperator::Next() {
   obs::SpanTimer span(stats_->trace(), obs::TracePhase::kAggregate);
   if (!consumed_) RODB_RETURN_IF_ERROR(Consume());
   if (emit_index_ >= rows_.size()) return static_cast<TupleBlock*>(nullptr);
-  ExecCounters& c = stats_->counters();
   block_.Clear();
   const BlockLayout& layout = block_.layout();
+  AggAccumulator acc(&plan_.aggs);
   while (!block_.full() && emit_index_ < rows_.size()) {
     // Fold the run of equal keys starting at emit_index_.
     const int32_t key = rows_[emit_index_][0];
-    int64_t count = 0;
-    std::vector<int64_t> acc(plan_.aggs.size());
-    for (size_t i = 0; i < plan_.aggs.size(); ++i) {
-      acc[i] = plan_.aggs[i].func == AggFunc::kMin
-                   ? std::numeric_limits<int64_t>::max()
-               : plan_.aggs[i].func == AggFunc::kMax
-                   ? std::numeric_limits<int64_t>::min()
-                   : 0;
-    }
-    while (emit_index_ < rows_.size() && rows_[emit_index_][0] == key) {
-      const std::vector<int32_t>& row = rows_[emit_index_];
-      ++count;
-      for (size_t i = 0; i < plan_.aggs.size(); ++i) {
-        const int64_t v = row[1 + i];
-        switch (plan_.aggs[i].func) {
-          case AggFunc::kSum:
-          case AggFunc::kAvg:
-            acc[i] += v;
-            break;
-          case AggFunc::kMin:
-            acc[i] = std::min(acc[i], v);
-            break;
-          case AggFunc::kMax:
-            acc[i] = std::max(acc[i], v);
-            break;
-          case AggFunc::kCount:
-            break;
-        }
-      }
-      ++emit_index_;
+    acc.Reset();
+    for (; emit_index_ < rows_.size() && rows_[emit_index_][0] == key;
+         ++emit_index_) {
+      acc.Update(rows_[emit_index_].data() + 1);
     }
     uint8_t* slot = block_.AppendSlot();
     size_t offset = 0;
@@ -292,23 +273,9 @@ Result<TupleBlock*> SortAggOperator::Next() {
       StoreLE32s(slot, key);
       offset = 1;
     }
-    for (size_t i = 0; i < plan_.aggs.size(); ++i) {
-      int64_t v = 0;
-      switch (plan_.aggs[i].func) {
-        case AggFunc::kCount:
-          v = count;
-          break;
-        case AggFunc::kAvg:
-          v = count == 0 ? 0 : acc[i] / count;
-          break;
-        default:
-          v = acc[i];
-          break;
-      }
-      StoreLE64(slot + layout.offsets[offset + i], static_cast<uint64_t>(v));
-    }
+    acc.Emit(slot + layout.offsets[offset]);
   }
-  c.blocks_emitted += 1;
+  stats_->counters().blocks_emitted += 1;
   return &block_;
 }
 

@@ -39,11 +39,18 @@ class AggAccumulator {
  public:
   explicit AggAccumulator(const std::vector<AggSpec>* aggs);
   void Reset();
+  /// Folds row `row` of `block`; each aggregate reads its spec's column.
   void Update(const TupleBlock& block, uint32_t row);
+  /// Folds one buffered row: `inputs[i]` is aggregate i's int32 input
+  /// (ignored for COUNT).
+  void Update(const int32_t* inputs);
   /// Writes the finished values into `out` (8 bytes per aggregate).
   void Emit(uint8_t* out) const;
 
  private:
+  /// Folds `v` into aggregate i (COUNT counts rows, not values).
+  void Fold(size_t i, int64_t v);
+
   const std::vector<AggSpec>* aggs_;
   std::vector<int64_t> acc_;
   int64_t count_ = 0;

@@ -129,7 +129,9 @@ Status ColumnScanner::Open() {
     for (Node& node : nodes_) node.eof = true;
     return Status::OK();
   }
-  if (spec_.range.is_all()) end_row_ = UINT64_MAX;
+  // A range that ends at the table's end is bounded by the driving
+  // file's end instead, like a whole-table scan.
+  if (end_row_ == total) end_row_ = UINT64_MAX;
   plan_ = BuildPrunePlan(*table_, spec_);
   plan_.AddCountersTo(&stats_->counters());
   RODB_CHECK(!plan_.active || plan_.nodes.size() == nodes_.size());

@@ -137,9 +137,9 @@ class ColumnScanner final : public Operator {
   bool opened_ = false;
   bool done_ = false;
   /// Scan stops at this absolute position (set from the spec's position
-  /// range in Open). A whole-table scan is bounded by the driving file's
-  /// end instead, where its PageSource checks the file holds exactly the
-  /// catalog's tuples.
+  /// range in Open). A range that ends at the table's end (a whole-table
+  /// scan included) is bounded by the driving file's end instead, where
+  /// its PageSource checks the file ends at the catalog's num_tuples.
   uint64_t end_row_ = UINT64_MAX;
   /// Whether the deepest node has skipped ahead to spec_.range.first_row().
   bool base_positioned_ = false;

@@ -22,9 +22,9 @@ enum class ScannerImpl {
 /// The one place a ScanSpec meets a physical table: picks the scanner
 /// matching the catalog layout, validates the spec against it, and wires
 /// the block cache when the spec carries one. Every scan in the system
-/// -- PlanBuilder leaves, morsel workers, shared scans, the fuzz
+/// -- QueryEngine's plans, morsel workers, shared scans, the fuzz
 /// harness, benches, rodbctl -- goes through here instead of hand-wiring
-/// per-layout constructors.
+/// per-layout constructors; operators stack above it through their Make.
 ///
 /// `table`, `backend` and `stats` are borrowed and must outlive the
 /// returned operator.

@@ -100,8 +100,16 @@ Status PageSource::Open(const std::vector<Run>* retained) {
     expected_pages_ = TotalRunLength(*retained);
     return Status::OK();
   }
+  const uint64_t file_pages =
+      file_ < meta.file_pages.size() ? meta.file_pages[file_] : 0;
   uint64_t first_page = range_.first_page();
   uint64_t num_pages = range_.num_pages();  // UINT64_MAX: to end of file
+  // Whether the range ends at the table's end: a whole-table scan, a
+  // position range reaching num_tuples, or a page range reaching the
+  // file's last page.
+  bool to_end = range_.is_all() ||
+                (first_page < file_pages &&
+                 num_pages >= file_pages - first_page);
   if (range_.unit == ScanRange::Unit::kRows) {
     // A position range maps onto this file's own pages (files disagree on
     // values per page across codecs); ValidateScanSpec ensured uniform
@@ -111,21 +119,28 @@ Status PageSource::Open(const std::vector<Run>* retained) {
     const uint64_t end = range_.num_rows() >= total - start
                              ? total
                              : start + range_.num_rows();
+    to_end = end == total;
     if (start > 0 || end < total) {
       const uint64_t vpp = meta.PageValues(file_);
       first_page = start / vpp;
-      num_pages = (end - 1) / vpp - first_page + 1;
+      // A range that ends at the table's end reads through the file's
+      // last page as the catalog records it, so values stored past
+      // num_tuples reach the completeness rule.
+      const uint64_t end_page = to_end ? file_pages : (end - 1) / vpp + 1;
+      num_pages = end_page > first_page ? end_page - first_page : 0;
     }
   }
-  const uint64_t file_pages =
-      file_ < meta.file_pages.size() ? meta.file_pages[file_] : 0;
   expected_pages_ = std::min(
       num_pages, first_page < file_pages ? file_pages - first_page : 0);
-  whole_table_ = range_.is_all();
   // Absolute positions when the page->tuple mapping is known; otherwise
   // (non-uniform pages) morsel-local ones, which never feed the output
   // checksum.
   next_pos_ = first_page * meta.PageValues(file_);
+  // A range that ends at the table's end is checked like a whole-table
+  // scan (the one that starts at position 0): its file must end at
+  // position num_tuples, which needs the range's first position.
+  check_end_ = to_end && (first_page == 0 || meta.PageValues(file_) != 0);
+  first_range_pos_ = next_pos_;
   runs_ = {ByteRun{first_page * page_size_,
                    num_pages == UINT64_MAX ? UINT64_MAX
                                            : num_pages * page_size_}};
@@ -205,9 +220,10 @@ Status PageSource::CheckComplete() const {
         " pages, expected " + std::to_string(expected_pages_));
   }
   const uint64_t num_tuples = table_->meta().num_tuples;
-  if (whole_table_ && values_ != num_tuples) {
+  if (check_end_ && first_range_pos_ + values_ != num_tuples) {
     return Status::Corruption(
-        table_->FilePath(file_) + " holds " + std::to_string(values_) +
+        table_->FilePath(file_) + " holds " +
+        std::to_string(first_range_pos_ + values_) +
         " values but the catalog claims " + std::to_string(num_tuples));
   }
   return Status::OK();

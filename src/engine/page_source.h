@@ -53,10 +53,12 @@ Status ValidateScanAttrs(const Schema& schema, const ScanSpec& spec);
 ///    Corruption) and parsing each page exactly once, honouring
 ///    ReadOptions::verify_checksums; pages_parsed is counted here;
 ///  - the completeness rule, applied when the stream ends: every
-///    expected page must have arrived, and on a whole-table scan the
-///    file must hold exactly the catalog's num_tuples values -- a file
-///    truncated underneath the scan, or a catalog that lies about the
-///    cardinality, fails instead of returning a short or long answer.
+///    expected page must have arrived, and when the range ends at the
+///    table's end (a whole-table scan, or a morsel's last range) the
+///    file must end at position num_tuples -- the range's first
+///    position plus the values read. A file truncated underneath the
+///    scan, or a catalog that lies about the cardinality, fails instead
+///    of returning a short or long answer.
 ///
 /// Called once per page: per-value work (seeks, decodes, predicate
 /// evaluation) stays in the scanners.
@@ -120,7 +122,10 @@ class PageSource {
   uint64_t pages_ = 0;
   uint64_t values_ = 0;
   uint64_t expected_pages_ = 0;
-  bool whole_table_ = false;
+  /// Set when the range ends at the table's end: the file must then end
+  /// at position num_tuples, first_range_pos_ + values_.
+  bool check_end_ = false;
+  uint64_t first_range_pos_ = 0;
 };
 
 // --- Per-page helpers shared by the scanners ------------------------------

@@ -3,17 +3,14 @@
 #include <algorithm>
 #include <cmath>
 #include <latch>
-#include <limits>
-#include <map>
 #include <numeric>
 #include <utility>
 #include <vector>
 
-#include "common/bytes.h"
 #include "common/macros.h"
 #include "common/stopwatch.h"
 #include "engine/exec_stats.h"
-#include "engine/plan_builder.h"
+#include "engine/open_scanner.h"
 #include "engine/zone_pruner.h"
 #include "obs/metrics.h"
 #include "storage/table_files.h"
@@ -22,132 +19,28 @@ namespace rodb {
 
 namespace {
 
-/// Partial state of one aggregation group, across workers: the original
-/// aggregates' accumulators plus the group's total input row count (the
-/// COUNT the worker plans append so AVG can divide at the end).
-struct PartialGroup {
-  int64_t count = 0;
-  std::vector<int64_t> acc;
-};
-
-void InitPartial(const AggPlan& plan, PartialGroup* g) {
-  g->acc.resize(plan.aggs.size());
-  for (size_t i = 0; i < plan.aggs.size(); ++i) {
-    switch (plan.aggs[i].func) {
-      case AggFunc::kMin:
-        g->acc[i] = std::numeric_limits<int64_t>::max();
-        break;
-      case AggFunc::kMax:
-        g->acc[i] = std::numeric_limits<int64_t>::min();
-        break;
-      default:
-        g->acc[i] = 0;
-        break;
-    }
-  }
-}
-
-void CombinePartial(const AggPlan& plan, const PartialGroup& in,
-                    PartialGroup* out) {
-  out->count += in.count;
-  for (size_t i = 0; i < plan.aggs.size(); ++i) {
-    switch (plan.aggs[i].func) {
-      case AggFunc::kMin:
-        out->acc[i] = std::min(out->acc[i], in.acc[i]);
-        break;
-      case AggFunc::kMax:
-        out->acc[i] = std::max(out->acc[i], in.acc[i]);
-        break;
-      default:  // COUNT / SUM / AVG-as-SUM partials all add
-        out->acc[i] += in.acc[i];
-        break;
-    }
-  }
-}
-
-/// Workers aggregate with AVG rewritten to its SUM partial plus one
-/// appended COUNT, so the merge can reproduce the serial integer-divide.
-AggPlan WorkerAggPlan(const AggPlan& orig) {
-  AggPlan plan = orig;
-  for (AggSpec& spec : plan.aggs) {
-    if (spec.func == AggFunc::kAvg) spec.func = AggFunc::kSum;
-  }
-  AggSpec count;
-  count.func = AggFunc::kCount;
-  count.column = 0;
-  plan.aggs.push_back(count);
-  return plan;
-}
-
 struct WorkerState {
   ExecStats stats;
   Status status = Status::OK();
-  /// Non-aggregating pipelines: the worker's raw output tuple bytes, in
-  /// production order (FNV-1a is chained, not combinable, so the merge
-  /// re-hashes these buffers in morsel order).
+  /// The worker's raw output tuple bytes, in production order (FNV-1a is
+  /// chained, not combinable, so the merge re-hashes these buffers in
+  /// morsel order).
   std::vector<uint8_t> bytes;
   /// Budget holds backing `bytes` (one per emitted block); released when
   /// the worker is destroyed, after the merge has consumed the buffers.
   std::vector<MemoryReservation> reservations;
   uint64_t rows = 0;
   uint64_t blocks = 0;
-  /// Aggregating pipelines: partial groups, keyed by group key.
-  std::map<int32_t, PartialGroup> groups;
 };
 
-Result<OperatorPtr> BuildWorkerPlan(const ParallelScanPlan& plan,
-                                    const ScanSpec& morsel,
-                                    const AggPlan* worker_agg,
-                                    ExecStats* stats) {
-  PlanBuilder builder =
-      PlanBuilder::Scan(plan.table, morsel, plan.backend, stats);
-  // The && stages mutate the builder in place; the returned reference is
-  // only for chaining.
-  if (!plan.filter.empty()) std::move(builder).Filter(plan.filter);
-  if (!plan.project.empty()) std::move(builder).Project(plan.project);
-  if (worker_agg != nullptr) {
-    if (plan.use_sort_aggregate) {
-      std::move(builder).SortAggregate(*worker_agg);
-    } else {
-      std::move(builder).HashAggregate(*worker_agg);
-    }
-  }
-  return std::move(builder).Build();
-}
-
-/// Folds one partial-aggregate output block (layout: [key?] [8B per
-/// original aggregate, AVG as SUM] [8B count]) into the worker's groups.
-void CollectPartials(const AggPlan& orig, const TupleBlock& block,
-                     WorkerState* w) {
-  const bool grouped = orig.group_column >= 0;
-  const size_t first = grouped ? 1 : 0;
-  const size_t m = orig.aggs.size();
-  for (uint32_t i = 0; i < block.size(); ++i) {
-    const int32_t key = grouped ? LoadLE32s(block.attr(i, 0)) : 0;
-    auto [it, inserted] = w->groups.try_emplace(key);
-    if (inserted) InitPartial(orig, &it->second);
-    PartialGroup in;
-    in.count = static_cast<int64_t>(LoadLE64(block.attr(i, first + m)));
-    in.acc.resize(m);
-    for (size_t a = 0; a < m; ++a) {
-      in.acc[a] = static_cast<int64_t>(LoadLE64(block.attr(i, first + a)));
-    }
-    CombinePartial(orig, in, &it->second);
-  }
-}
-
-/// One worker: drain its pipeline clone over one morsel, recording either
-/// output bytes or partial aggregates into worker-local state.
-Status DriveWorker(Operator* root, const AggPlan* orig_agg, WorkerState* w) {
+/// One worker: drain its morsel's scan, buffering the output bytes into
+/// worker-local state.
+Status DriveWorker(Operator* root, WorkerState* w) {
   const QueryContext* ctx = w->stats.context();
   const size_t width = static_cast<size_t>(root->output_layout().tuple_width);
   return Drain(root, &w->stats, [&](const TupleBlock& block) -> Status {
     w->blocks += 1;
     w->rows += block.size();
-    if (orig_agg != nullptr) {
-      CollectPartials(*orig_agg, block, w);
-      return Status::OK();
-    }
     const size_t chunk = static_cast<size_t>(block.size()) * width;
     if (ctx != nullptr) {
       // The buffered output bytes are this worker's working set; a
@@ -158,49 +51,6 @@ Status DriveWorker(Operator* root, const AggPlan* orig_agg, WorkerState* w) {
     w->bytes.insert(w->bytes.end(), block.tuple(0), block.tuple(0) + chunk);
     return Status::OK();
   });
-}
-
-/// Emits the merged groups (ascending key order) through a fresh output
-/// block, chaining the checksum exactly like serial Execute would.
-void EmitMergedAggregate(const AggPlan& orig,
-                         const std::map<int32_t, PartialGroup>& merged,
-                         uint32_t block_tuples, ExecutionResult* out) {
-  TupleBlock block(AggOutputLayout(orig), block_tuples);
-  const BlockLayout& layout = block.layout();
-  const bool grouped = orig.group_column >= 0;
-  uint64_t checksum = kFnv1aSeed;
-  auto flush = [&] {
-    if (block.empty()) return;
-    out->blocks += 1;
-    out->rows += block.size();
-    checksum = Fnv1aExtend(checksum, block.tuple(0),
-                           static_cast<size_t>(block.size()) *
-                               static_cast<size_t>(layout.tuple_width));
-    block.Clear();
-  };
-  for (const auto& [key, g] : merged) {
-    uint8_t* slot = block.AppendSlot();
-    size_t offset = 0;
-    if (grouped) {
-      StoreLE32s(slot, key);
-      offset = 1;
-    }
-    for (size_t i = 0; i < orig.aggs.size(); ++i) {
-      int64_t v = 0;
-      switch (orig.aggs[i].func) {
-        case AggFunc::kAvg:
-          v = g.count == 0 ? 0 : g.acc[i] / g.count;
-          break;
-        default:
-          v = g.acc[i];
-          break;
-      }
-      StoreLE64(slot + layout.offsets[offset + i], static_cast<uint64_t>(v));
-    }
-    if (block.full()) flush();
-  }
-  flush();
-  out->output_checksum = checksum;
 }
 
 /// Serial-stream I/O equivalents for the normalized counters: one stream
@@ -368,26 +218,19 @@ Result<ParallelResult> ParallelExecute(const ParallelScanPlan& plan,
   out.morsels = static_cast<int>(morsels.size());
 
   if (morsels.size() == 1) {
-    // Serial fallback: identical to Execute over the unmodified plan.
+    // Serial fallback: identical to Execute over the unmodified scan.
     ExecStats stats;
     stats.set_trace(plan.trace);
     stats.set_context(plan.context);
-    RODB_ASSIGN_OR_RETURN(OperatorPtr root,
-                          BuildWorkerPlan(plan, morsels[0], plan.agg, &stats));
+    RODB_ASSIGN_OR_RETURN(
+        OperatorPtr root,
+        OpenScanner(*plan.table, morsels[0], plan.backend, &stats));
     RODB_ASSIGN_OR_RETURN(out.result, Execute(root.get(), &stats));
     out.counters = stats.counters();
-    out.raw_io.bytes_read = out.counters.io_bytes_read;
-    out.raw_io.requests = out.counters.io_requests;
-    out.raw_io.files_opened = out.counters.files_read;
-    out.raw_io.bytes_from_cache = out.counters.io_bytes_from_cache;
-    out.raw_io.cache_hits = out.counters.io_cache_hits;
-    out.raw_io.cache_misses = out.counters.io_cache_misses;
     out.result.measured = timer.Lap();
     return out;
   }
 
-  const AggPlan worker_agg =
-      plan.agg != nullptr ? WorkerAggPlan(*plan.agg) : AggPlan{};
   std::vector<WorkerState> workers(morsels.size());
   // Workers run under a child of the caller's context: a failing worker
   // cancels the run (its siblings stop at their next page boundary)
@@ -401,9 +244,7 @@ Result<ParallelResult> ParallelExecute(const ParallelScanPlan& plan,
     workers[i].stats.set_context(&run_ctx);
     RODB_ASSIGN_OR_RETURN(
         OperatorPtr root,
-        BuildWorkerPlan(plan, morsels[i],
-                        plan.agg != nullptr ? &worker_agg : nullptr,
-                        &workers[i].stats));
+        OpenScanner(*plan.table, morsels[i], plan.backend, &workers[i].stats));
     roots.push_back(std::move(root));
   }
   // IoStats single-writer contract (io/io.h): every worker must own a
@@ -416,21 +257,20 @@ Result<ParallelResult> ParallelExecute(const ParallelScanPlan& plan,
 
   if (pool == nullptr) pool = ThreadPool::Shared();
   std::latch done(static_cast<std::ptrdiff_t>(morsels.size()));
-  const AggPlan* orig_agg = plan.agg;
   obs::QueryTrace* trace = plan.trace;
   obs::SpanTimer query_span(trace, obs::TracePhase::kQuery);
   for (size_t i = 0; i < morsels.size(); ++i) {
     Operator* root = roots[i].get();
     WorkerState* w = &workers[i];
     const QueryContext* rc = &run_ctx;
-    pool->Submit([root, orig_agg, w, trace, rc, &done] {
+    pool->Submit([root, w, trace, rc, &done] {
       {
         // AddPhaseNanos is wait-free, so worker threads may time their
         // own morsel even though their counters stay worker-local. The
         // timer closes before count_down so the merging thread never
         // reads a trace a worker is still writing.
         obs::SpanTimer morsel_span(trace, obs::TracePhase::kMorsel);
-        w->status = DriveWorker(root, orig_agg, w);
+        w->status = DriveWorker(root, w);
       }
       // A failed morsel stops its siblings promptly: their next page-
       // boundary CheckAlive observes the run context's cancellation.
@@ -456,38 +296,14 @@ Result<ParallelResult> ParallelExecute(const ParallelScanPlan& plan,
 
   // --- merge ---
   obs::SpanTimer merge_span(trace, obs::TracePhase::kMerge);
-  if (plan.agg != nullptr) {
-    std::map<int32_t, PartialGroup> merged;
-    for (const WorkerState& w : workers) {
-      for (const auto& [key, g] : w.groups) {
-        auto [it, inserted] = merged.try_emplace(key);
-        if (inserted) InitPartial(*plan.agg, &it->second);
-        CombinePartial(*plan.agg, g, &it->second);
-      }
-    }
-    EmitMergedAggregate(*plan.agg, merged, plan.spec.block_tuples,
-                        &out.result);
-  } else {
-    uint64_t checksum = kFnv1aSeed;
-    for (const WorkerState& w : workers) {
-      out.result.rows += w.rows;
-      out.result.blocks += w.blocks;
-      checksum = Fnv1aExtend(checksum, w.bytes.data(), w.bytes.size());
-    }
-    out.result.output_checksum = checksum;
-  }
-
-  IoStats raw;
+  uint64_t checksum = kFnv1aSeed;
   for (const WorkerState& w : workers) {
+    out.result.rows += w.rows;
+    out.result.blocks += w.blocks;
+    checksum = Fnv1aExtend(checksum, w.bytes.data(), w.bytes.size());
     out.counters += w.stats.counters();
-    raw.MergeFrom(IoStats{w.stats.counters().io_bytes_read,
-                          w.stats.counters().io_requests,
-                          w.stats.counters().files_read,
-                          w.stats.counters().io_bytes_from_cache,
-                          w.stats.counters().io_cache_hits,
-                          w.stats.counters().io_cache_misses});
   }
-  out.raw_io = raw;
+  out.result.output_checksum = checksum;
   // Morsel ranges partition single-file layouts exactly, so summed
   // bytes_read equals a serial scan's there; column files can re-read
   // one boundary unit per interior split (morsel rows are not aligned

@@ -4,9 +4,7 @@
 #include <vector>
 
 #include "common/thread_pool.h"
-#include "engine/aggregate.h"
 #include "engine/executor.h"
-#include "engine/predicate.h"
 #include "engine/scan_spec.h"
 #include "io/io.h"
 #include "obs/span.h"
@@ -14,31 +12,18 @@
 
 namespace rodb {
 
-/// A scan pipeline to run morsel-parallel: one table scan plus optional
-/// block-level filter / projection / aggregation stages. The pipeline is
-/// cloned per worker; each clone scans one morsel of the table with its
-/// own streams and its own ExecStats, then the partial results are merged
-/// on the calling thread.
+/// A table scan to run morsel-parallel. Each worker runs exactly the scan
+/// a serial query runs -- OpenScanner over its morsel, drained by Drain --
+/// with its own streams and its own ExecStats; the outputs are merged on
+/// the calling thread.
 struct ParallelScanPlan {
   const OpenTable* table = nullptr;  ///< borrowed
   ScanSpec spec;                     ///< whole-table scan spec
   IoBackend* backend = nullptr;      ///< borrowed; must allow concurrent
                                      ///< OpenStream + independent streams
-  /// Block-level conjunctive filter above the scan (indices refer to the
-  /// scan's output layout). Empty = none.
-  std::vector<Predicate> filter;
-  /// Block columns kept/reordered above the filter. Empty = keep all.
-  std::vector<int> project;
-  /// Optional aggregation on top (borrowed). Workers compute partial
-  /// aggregates (AVG split into SUM + COUNT) which are combined at merge
-  /// time; merged groups are emitted in ascending key order, matching the
-  /// serial sort-aggregate exactly (serial hash-aggregate group order is
-  /// unspecified).
-  const AggPlan* agg = nullptr;
-  bool use_sort_aggregate = false;  ///< SortAgg vs HashAgg in each worker
   /// Optional span tree (obs/span.h). The serial fallback traces the full
-  /// pipeline; parallel runs record per-worker wall time (morsel spans),
-  /// the merge, and the finalized counters — workers keep their own
+  /// scan; parallel runs record per-worker wall time (morsel spans), the
+  /// merge, and the finalized counters -- workers keep their own
   /// untraced ExecStats so the single-writer I/O contract holds.
   obs::QueryTrace* trace = nullptr;
   /// Optional query lifecycle context (borrowed; engine/query_context.h).
@@ -53,7 +38,7 @@ struct ParallelScanPlan {
 struct ParallelResult {
   /// rows / blocks / output_checksum / measured wall time. The checksum
   /// is chained over worker outputs in morsel order and equals the serial
-  /// Execute() checksum for the same plan.
+  /// Execute() checksum for the same scan.
   ExecutionResult result;
   /// Per-worker counters summed, with the I/O counters normalized to
   /// their single-stream (serial-scan) equivalents so ModelQueryTiming
@@ -62,9 +47,6 @@ struct ParallelResult {
   /// file); requests are recomputed as ceil(file bytes / I/O unit) per
   /// serial stream; files as the serial stream count.
   ExecCounters counters;
-  /// The raw summed per-worker I/O record (what actually hit the
-  /// backend): k streams per file, boundary-fragment requests included.
-  IoStats raw_io;
   int morsels = 0;  ///< morsels actually executed (1 = ran serially)
 };
 
@@ -72,7 +54,7 @@ struct ParallelResult {
 ///
 /// Row/PAX tables split the single file into page-aligned byte ranges
 /// (PartitionFile). Column tables split the position space, aligned so
-/// that every column file the pipeline touches splits at page boundaries
+/// that every column file the scan touches splits at page boundaries
 /// (the LCM of the files' values-per-page, or the driving column's when
 /// the LCM outgrows the table); this requires uniform page value counts
 /// (TableMeta::PageValues) on every involved file -- otherwise, and for
@@ -80,12 +62,12 @@ struct ParallelResult {
 std::vector<ScanSpec> PlanMorsels(const OpenTable& table, const ScanSpec& spec,
                                   int parallelism);
 
-/// Runs the plan with `parallelism` workers on `pool` (ThreadPool::Shared
+/// Runs the scan with `parallelism` workers on `pool` (ThreadPool::Shared
 /// when null) and merges: output bytes are concatenated in morsel order
-/// (checksum-chained, never reordered), partial aggregates are combined,
-/// and per-worker counters are summed + normalized as described above.
-/// Falls back to serial execution (identical to Execute) when the table
-/// cannot be partitioned or `parallelism` <= 1.
+/// (checksum-chained, never reordered) and per-worker counters are
+/// summed + normalized as described above. Falls back to serial
+/// execution (identical to Execute) when the table cannot be partitioned
+/// or `parallelism` <= 1.
 Result<ParallelResult> ParallelExecute(const ParallelScanPlan& plan,
                                        int parallelism,
                                        ThreadPool* pool = nullptr);

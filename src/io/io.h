@@ -17,10 +17,9 @@ namespace rodb {
 /// Single-writer contract: streams update their IoStats sink with plain
 /// unsynchronized increments, so at any moment a given IoStats object may
 /// be written by AT MOST ONE stream/worker thread. Partitioned scans give
-/// every worker its own ExecStats (and therefore its own IoStats) and
-/// combine the per-worker records with MergeFrom() after the workers have
-/// quiesced; sharing one IoStats* across concurrently running streams is
-/// a data race.
+/// every worker its own ExecStats (and therefore its own IoStats) and sum
+/// the per-worker counters after the workers have quiesced; sharing one
+/// IoStats* across concurrently running streams is a data race.
 struct IoStats {
   uint64_t bytes_read = 0;  ///< bytes the backend actually served
   uint64_t requests = 0;    ///< I/O unit requests issued to the backend
@@ -32,18 +31,6 @@ struct IoStats {
   uint64_t bytes_from_cache = 0;
   uint64_t cache_hits = 0;    ///< I/O units served from cache
   uint64_t cache_misses = 0;  ///< I/O units assembled from the backend
-
-  /// Adds `other`'s counters into this record. Safe across threads only
-  /// in the join sense: the worker that produced `other` must have
-  /// finished (its stream destroyed or drained) before the merge.
-  void MergeFrom(const IoStats& other) {
-    bytes_read += other.bytes_read;
-    requests += other.requests;
-    files_opened += other.files_opened;
-    bytes_from_cache += other.bytes_from_cache;
-    cache_hits += other.cache_hits;
-    cache_misses += other.cache_misses;
-  }
 };
 
 /// How a scan reads a file (Section 2.2.3): fixed-size I/O units, a

@@ -36,7 +36,7 @@ enum class TracePhase : uint8_t {
   kProject,      ///< ProjectOperator::Next
   kAggregate,    ///< hash/sort aggregate Next
   kSort,         ///< sort / top-n Next
-  kMerge,        ///< parallel executor's merge of worker partials
+  kMerge,        ///< parallel executor's merge of worker outputs
   kMorsel,       ///< summed per-worker wall time (parallel runs)
   kIoRetry,      ///< backoff + re-issue of transient I/O failures
 };

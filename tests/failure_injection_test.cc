@@ -12,10 +12,12 @@
 #include "common/bytes.h"
 #include "common/file_util.h"
 #include "engine/column_scanner.h"
+#include "engine/parallel_executor.h"
 #include "engine/zone_pruner.h"
 #include "io/fault_injection.h"
 #include "obs/metrics.h"
 #include "scan_test_util.h"
+#include "server/query_engine.h"
 #include "wos/ingest_store.h"
 
 namespace rodb {
@@ -65,6 +67,24 @@ class FailureInjectionTest : public ::testing::Test {
     RODB_RETURN_IF_ERROR(rodb::testing::LoadLayouts(dir, "t", schema_,
                                                     tuples_, {layout}, 1024));
     return std::string("t") + LayoutSuffix(layout);
+  }
+
+  /// Loads a copy like LoadCopy, then rewrites its .meta to claim
+  /// `claimed` tuples instead of the 3000 stored.
+  Result<std::string> LoadLyingCopy(const std::string& dir, Layout layout,
+                                    uint64_t claimed) {
+    RODB_ASSIGN_OR_RETURN(const std::string name, LoadCopy(dir, layout));
+    const std::string meta_path = dir + "/" + name + ".meta";
+    RODB_ASSIGN_OR_RETURN(std::string meta, ReadFileToString(meta_path));
+    const std::string stored = "num_tuples 3000\n";
+    const size_t at = meta.find(stored);
+    if (at == std::string::npos) {
+      return Status::Internal(meta_path + " has no num_tuples 3000 line");
+    }
+    meta.replace(at, stored.size(),
+                 "num_tuples " + std::to_string(claimed) + "\n");
+    RODB_RETURN_IF_ERROR(WriteStringToFile(meta_path, meta));
+    return name;
   }
 
   /// Runs `spec` to completion through `impl` and returns the row count.
@@ -365,15 +385,7 @@ TEST_F(FailureInjectionTest, CatalogCardinalityLieIsCorruptionInEveryScanner) {
                    std::to_string(claimed));
       TempDir dir;
       ASSERT_OK_AND_ASSIGN(const std::string name,
-                           LoadCopy(dir.path(), sc.layout));
-      const std::string meta_path = dir.path() + "/" + name + ".meta";
-      ASSERT_OK_AND_ASSIGN(std::string meta, ReadFileToString(meta_path));
-      const std::string stored = "num_tuples 3000\n";
-      const size_t at = meta.find(stored);
-      ASSERT_NE(at, std::string::npos);
-      meta.replace(at, stored.size(),
-                   "num_tuples " + std::to_string(claimed) + "\n");
-      ASSERT_OK(WriteStringToFile(meta_path, meta));
+                           LoadLyingCopy(dir.path(), sc.layout, claimed));
       ASSERT_OK_AND_ASSIGN(OpenTable table, OpenTable::Open(dir.path(), name));
       ASSERT_EQ(table.meta().num_tuples, claimed);
       ScanSpec spec;
@@ -383,6 +395,48 @@ TEST_F(FailureInjectionTest, CatalogCardinalityLieIsCorruptionInEveryScanner) {
       EXPECT_TRUE(rows.status().IsCorruption())
           << (rows.ok() ? std::to_string(*rows) + " rows"
                         : rows.status().ToString());
+    }
+  }
+}
+
+TEST_F(FailureInjectionTest, CatalogCardinalityLieIsCorruptionInParallelScans) {
+  // The same lie under morsel parallelism: every morsel checks only its
+  // own range, but the last one ends at the table's end and so is
+  // checked like a whole-table scan -- its file must end at position
+  // num_tuples. Directly and through the engine, every run fails.
+  for (const uint64_t claimed : {2000, 4000}) {
+    for (const Layout layout : {Layout::kRow, Layout::kPax, Layout::kColumn}) {
+      SCOPED_TRACE(std::string(LayoutName(layout)) + " claims " +
+                   std::to_string(claimed));
+      TempDir dir;
+      ASSERT_OK_AND_ASSIGN(const std::string name,
+                           LoadLyingCopy(dir.path(), layout, claimed));
+      ASSERT_OK_AND_ASSIGN(OpenTable table, OpenTable::Open(dir.path(), name));
+      ScanSpec spec;
+      spec.projection = {0, 1, 2};
+      spec.read.io_unit_bytes = 4096;
+      ParallelScanPlan plan;
+      plan.table = &table;
+      plan.spec = spec;
+      plan.backend = &backend_;
+      for (const int k : {2, 4}) {
+        // The scan really splits: no serial fallback answers for it.
+        ASSERT_GT(PlanMorsels(table, spec, k).size(), 1u) << "k=" << k;
+        auto out = ParallelExecute(plan, k);
+        EXPECT_TRUE(out.status().IsCorruption())
+            << "k=" << k << ": "
+            << (out.ok() ? std::to_string(out->result.rows) + " rows"
+                         : out.status().ToString());
+      }
+      QueryEngine engine(dir.path());
+      QueryRequest request;
+      request.table = name;
+      request.scan = spec;
+      request.parallelism = 2;
+      auto result = engine.Execute(request);
+      EXPECT_TRUE(result.status().IsCorruption())
+          << (result.ok() ? std::to_string(result->rows) + " rows"
+                          : result.status().ToString());
     }
   }
 }

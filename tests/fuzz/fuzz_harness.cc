@@ -16,10 +16,10 @@
 #include "common/file_util.h"
 #include "common/macros.h"
 #include "common/random.h"
+#include "engine/aggregate.h"
 #include "engine/executor.h"
 #include "engine/open_scanner.h"
 #include "engine/parallel_executor.h"
-#include "engine/plan_builder.h"
 #include "engine/query_context.h"
 #include "engine/reference_eval.h"
 #include "engine/zone_pruner.h"
@@ -349,25 +349,12 @@ struct Runner {
     ScanSpec spec = query.spec;
     spec.read.verify_checksums = faulted;
     spec.read.cache = cache;
-    if (early_mat) {
-      RODB_ASSIGN_OR_RETURN(
-          OperatorPtr scan,
-          OpenScanner(table, std::move(spec), backend, stats_out,
-                      ScannerImpl::kEarlyMat));
-      if (query.has_agg) {
-        return PlanBuilder::From(std::move(scan), stats_out)
-            .SortAggregate(query.agg)
-            .Build();
-      }
-      return PlanBuilder::From(std::move(scan), stats_out).Build();
-    }
-    if (query.has_agg) {
-      return PlanBuilder::Scan(&table, std::move(spec), backend, stats_out)
-          .SortAggregate(query.agg)
-          .Build();
-    }
-    return PlanBuilder::Scan(&table, std::move(spec), backend, stats_out)
-        .Build();
+    RODB_ASSIGN_OR_RETURN(
+        OperatorPtr scan,
+        OpenScanner(table, std::move(spec), backend, stats_out,
+                    early_mat ? ScannerImpl::kEarlyMat : ScannerImpl::kAuto));
+    if (!query.has_agg) return scan;
+    return SortAggOperator::Make(std::move(scan), query.agg, stats_out);
   }
 
   /// Serial clean run: exact tuple equality against the oracle, plus an
@@ -600,6 +587,8 @@ struct Runner {
     one_run(&file_backend, "STALE CACHE GARBAGE after faulted run");
   }
 
+  /// Morsel-parallel clean run of the query's scan; `oracle` is the scan
+  /// oracle.
   void RunParallelClean(const OpenTable& table, const Query& query,
                         const ReferenceResult& oracle, const std::string& ctx,
                         const ExecCounters* serial) {
@@ -608,10 +597,6 @@ struct Runner {
     plan.table = &table;
     plan.spec = query.spec;
     plan.backend = &file_backend;
-    if (query.has_agg) {
-      plan.agg = &query.agg;
-      plan.use_sort_aggregate = true;
-    }
     auto result = ParallelExecute(plan, options.parallelism);
     if (!result.ok()) {
       Fail(ctx + ": parallel clean run errored: " +
@@ -656,7 +641,8 @@ struct Runner {
 
   /// A fault run may fail with any clean Status error, or succeed -- in
   /// which case the answer must be exactly the oracle's. Anything else
-  /// (silently wrong results) is a bug.
+  /// (silently wrong results) is a bug. A parallel run executes the
+  /// query's scan only, so its caller passes the scan oracle.
   void RunFaulted(const OpenTable& table, const Query& query,
                   const ReferenceResult& oracle, const std::string& ctx,
                   uint64_t fault_seed, bool parallel) {
@@ -679,10 +665,6 @@ struct Runner {
       plan.table = &table;
       plan.spec = std::move(spec);
       plan.backend = &faulty;
-      if (query.has_agg) {
-        plan.agg = &query.agg;
-        plan.use_sort_aggregate = true;
-      }
       auto result = ParallelExecute(plan, options.parallelism);
       status = result.status();
       if (result.ok()) {
@@ -736,13 +718,14 @@ struct Runner {
   /// (their outcomes are pure functions of the options: a seeded
   /// transient-fault run healed by bounded retries, a pre-cancelled
   /// context, an already-expired deadline); a fourth races a tiny live
-  /// deadline against real parallel execution and asserts only the
-  /// classification contract -- the exact answer or a clean
-  /// Cancelled/DeadlineExceeded/IoError, never a hang or a silent
-  /// truncation.
+  /// deadline against real parallel execution of the query's scan and
+  /// asserts only the classification contract -- the exact answer (the
+  /// scan oracle's) or a clean Cancelled/DeadlineExceeded/IoError, never
+  /// a hang or a silent truncation.
   void RunResilience(const OpenTable& table, const Query& query,
-                     const ReferenceResult& oracle, const std::string& ctx,
-                     uint64_t seed) {
+                     const ReferenceResult& oracle,
+                     const ReferenceResult& scan_oracle,
+                     const std::string& ctx, uint64_t seed) {
     FileBackend file_backend;
 
     // (a) transient faults healed by bounded retries, reconciled exactly
@@ -858,17 +841,13 @@ struct Runner {
       plan.table = &table;
       plan.spec = query.spec;
       plan.backend = &file_backend;
-      if (query.has_agg) {
-        plan.agg = &query.agg;
-        plan.use_sort_aggregate = true;
-      }
       plan.context = &qctx;
       auto result = ParallelExecute(plan, options.parallelism);
       ++stats.resilience_runs;
       ++stats.live_deadline_runs;
       if (result.ok()) {
-        if (result->result.rows != oracle.rows ||
-            result->result.output_checksum != oracle.output_checksum) {
+        if (result->result.rows != scan_oracle.rows ||
+            result->result.output_checksum != scan_oracle.output_checksum) {
           Fail(ctx + ": live-deadline run beat the clock but diverged "
                      "from the oracle");
         }
@@ -983,16 +962,18 @@ struct Runner {
     stats.state_hash = FoldU64(stats.state_hash, dataset.bytes_hash);
 
     // The oracle answers once for the whole iteration: layouts and codecs
-    // must not change the result.
-    ReferenceResult oracle;
+    // must not change the result. The scan oracle checks the parallel
+    // legs, which run the query's scan without its aggregate.
+    RODB_ASSIGN_OR_RETURN(
+        const ReferenceResult scan_oracle,
+        ReferenceScan(dataset.plain, dataset.tuples, query.spec));
+    ReferenceResult agg_oracle;
     if (query.has_agg) {
-      RODB_ASSIGN_OR_RETURN(oracle,
+      RODB_ASSIGN_OR_RETURN(agg_oracle,
                             ReferenceAggregate(dataset.plain, dataset.tuples,
                                                query.spec, query.agg));
-    } else {
-      RODB_ASSIGN_OR_RETURN(
-          oracle, ReferenceScan(dataset.plain, dataset.tuples, query.spec));
     }
+    const ReferenceResult& oracle = query.has_agg ? agg_oracle : scan_oracle;
 
     const std::string dir = root_dir + "/iter" + std::to_string(iter);
     std::error_code ec;
@@ -1022,7 +1003,7 @@ struct Runner {
         ExecCounters serial_counters;
         RunSerialClean(table, query, oracle, ctx + " serial",
                        /*early_mat=*/false, &serial_counters);
-        RunParallelClean(table, query, oracle, ctx + " parallel",
+        RunParallelClean(table, query, scan_oracle, ctx + " parallel",
                          &serial_counters);
         RunCachedClean(table, query, oracle, ctx + " cached",
                        &serial_counters);
@@ -1032,11 +1013,11 @@ struct Runner {
         }
         RunFaulted(table, query, oracle, ctx + " serial-fault",
                    Mix(iter_seed, 100 + 2 * (compressed * 3 + l)), false);
-        RunFaulted(table, query, oracle, ctx + " parallel-fault",
+        RunFaulted(table, query, scan_oracle, ctx + " parallel-fault",
                    Mix(iter_seed, 101 + 2 * (compressed * 3 + l)), true);
         RunCachedFaulted(table, query, oracle, ctx + " cached-fault",
                          Mix(iter_seed, 700 + 2 * (compressed * 3 + l)));
-        RunResilience(table, query, oracle, ctx + " resilience",
+        RunResilience(table, query, oracle, scan_oracle, ctx + " resilience",
                       Mix(iter_seed, 900 + compressed * 3 + l));
         // Last for this table: leaves the sidecar damaged on purpose.
         RunCorruptSynopsis(dir, name, query, oracle,

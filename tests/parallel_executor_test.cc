@@ -18,7 +18,8 @@
 #include "common/file_util.h"
 #include "common/random.h"
 #include "common/thread_pool.h"
-#include "engine/plan_builder.h"
+#include "engine/open_scanner.h"
+#include "io/fault_injection.h"
 #include "scan_test_util.h"
 
 namespace rodb {
@@ -71,24 +72,6 @@ TEST(ThreadPoolTest, SharedPoolIsAProcessSingleton) {
 }
 
 // ---------------------------------------------------------------------------
-// IoStats merge helper
-
-TEST(IoStatsTest, MergeFromAddsEveryCounter) {
-  IoStats a;
-  a.bytes_read = 100;
-  a.requests = 3;
-  a.files_opened = 1;
-  IoStats b;
-  b.bytes_read = 50;
-  b.requests = 2;
-  b.files_opened = 4;
-  a.MergeFrom(b);
-  EXPECT_EQ(a.bytes_read, 150u);
-  EXPECT_EQ(a.requests, 5u);
-  EXPECT_EQ(a.files_opened, 5u);
-}
-
-// ---------------------------------------------------------------------------
 // Shared fixture data: an uncompressed 4-attribute table in all layouts.
 
 constexpr int kNumTuples = 6000;
@@ -122,23 +105,12 @@ std::vector<std::vector<uint8_t>> TestTuples(const Schema& schema) {
   return tuples;
 }
 
-/// Runs the plan through the ordinary serial Execute() path.
+/// Runs the plan's scan through the ordinary serial Execute() path.
 Result<ExecutionResult> SerialExecute(const ParallelScanPlan& plan,
                                       ExecCounters* counters) {
   ExecStats stats;
-  PlanBuilder builder =
-      PlanBuilder::Scan(plan.table, plan.spec, plan.backend, &stats);
-  // The &&-qualified stages mutate the builder in place.
-  if (!plan.filter.empty()) std::move(builder).Filter(plan.filter);
-  if (!plan.project.empty()) std::move(builder).Project(plan.project);
-  if (plan.agg != nullptr) {
-    if (plan.use_sort_aggregate) {
-      std::move(builder).SortAggregate(*plan.agg);
-    } else {
-      std::move(builder).HashAggregate(*plan.agg);
-    }
-  }
-  RODB_ASSIGN_OR_RETURN(OperatorPtr root, std::move(builder).Build());
+  RODB_ASSIGN_OR_RETURN(OperatorPtr root, OpenScanner(*plan.table, plan.spec,
+                                                      plan.backend, &stats));
   RODB_ASSIGN_OR_RETURN(ExecutionResult result, Execute(root.get(), &stats));
   if (counters != nullptr) *counters = stats.counters();
   return result;
@@ -286,29 +258,6 @@ TEST_F(ParallelScanTest, FilteredScanMatchesSerial) {
   }
 }
 
-TEST_F(ParallelScanTest, BlockFilterAndProjectionAboveScanMatchSerial) {
-  // Exercise the cloned Filter/Project stages (block-level, above the
-  // scan) rather than SARGable scan predicates.
-  for (Layout layout : {Layout::kRow, Layout::kColumn}) {
-    ASSERT_OK_AND_ASSIGN(OpenTable table, Open(layout));
-    ParallelScanPlan plan;
-    plan.table = &table;
-    plan.spec.projection = {0, 1, 2};
-    plan.spec.read.io_unit_bytes = 4096;
-    plan.backend = &backend_;
-    plan.filter = {Predicate::Int32(1, CompareOp::kGe, 10)};
-    plan.project = {2, 0};
-    ASSERT_OK_AND_ASSIGN(ExecutionResult serial, SerialExecute(plan, nullptr));
-    ASSERT_GT(serial.rows, 0u);
-    for (int k : {2, 4}) {
-      ASSERT_OK_AND_ASSIGN(ParallelResult out, ParallelExecute(plan, k));
-      EXPECT_EQ(out.result.rows, serial.rows) << " k=" << k;
-      EXPECT_EQ(out.result.output_checksum, serial.output_checksum)
-          << " k=" << k;
-    }
-  }
-}
-
 // ---------------------------------------------------------------------------
 // Counter / modeled-timing parity.
 
@@ -332,7 +281,10 @@ TEST_F(ParallelScanTest, AlignedScanCountersAndModeledTimingMatchSerial) {
     ExecCounters serial_counters;
     ASSERT_OK_AND_ASSIGN(ExecutionResult serial,
                          SerialExecute(plan, &serial_counters));
+    TracingBackend tracing(&backend_);
+    plan.backend = &tracing;
     for (int k : {2, 4}) {
+      tracing.Reset();
       ASSERT_OK_AND_ASSIGN(ParallelResult out, ParallelExecute(plan, k));
       ASSERT_GT(out.morsels, 1);
       const ExecCounters& c = out.counters;
@@ -362,109 +314,17 @@ TEST_F(ParallelScanTest, AlignedScanCountersAndModeledTimingMatchSerial) {
           << rodb::testing::LayoutSuffix(layout) << " k=" << k;
       EXPECT_DOUBLE_EQ(parallel_t.cpu_seconds, serial_t.cpu_seconds);
       EXPECT_DOUBLE_EQ(parallel_t.io_seconds, serial_t.io_seconds);
-      // The raw record shows what actually happened: one stream per
-      // worker per file, bytes conserved.
-      EXPECT_EQ(out.raw_io.bytes_read, s.io_bytes_read);
-      EXPECT_GT(out.raw_io.files_opened, c.files_read);
+      // The backend saw what actually happened: one stream per worker
+      // per file, bytes conserved.
+      uint64_t traced_bytes = 0;
+      for (const std::string& path : tracing.Paths()) {
+        const TracingBackend::PathTrace t = tracing.Trace(path);
+        EXPECT_EQ(t.opens, static_cast<uint64_t>(out.morsels)) << path;
+        traced_bytes += t.bytes;
+      }
+      EXPECT_EQ(tracing.Paths().size(), s.files_read);
+      EXPECT_EQ(traced_bytes, s.io_bytes_read);
     }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Partial-aggregate combining.
-
-TEST_F(ParallelScanTest, GlobalAggregatesCombineExactly) {
-  for (Layout layout : {Layout::kRow, Layout::kColumn}) {
-    ASSERT_OK_AND_ASSIGN(OpenTable table, Open(layout));
-    AggPlan agg;
-    agg.group_column = -1;
-    agg.aggs = {{AggFunc::kCount, 0}, {AggFunc::kSum, 1},
-                {AggFunc::kAvg, 1},   {AggFunc::kMin, 0},
-                {AggFunc::kMax, 0}};
-    ParallelScanPlan plan;
-    plan.table = &table;
-    plan.spec.projection = {0, 1};
-    plan.spec.read.io_unit_bytes = 4096;
-    plan.backend = &backend_;
-    plan.agg = &agg;
-    ASSERT_OK_AND_ASSIGN(ExecutionResult serial, SerialExecute(plan, nullptr));
-    ASSERT_EQ(serial.rows, 1u);
-    for (int k : {1, 2, 4}) {
-      ASSERT_OK_AND_ASSIGN(ParallelResult out, ParallelExecute(plan, k));
-      EXPECT_EQ(out.result.rows, 1u) << " k=" << k;
-      EXPECT_EQ(out.result.output_checksum, serial.output_checksum)
-          << rodb::testing::LayoutSuffix(layout) << " k=" << k;
-    }
-  }
-}
-
-TEST_F(ParallelScanTest, GroupedSortAggregateMatchesSerial) {
-  ASSERT_OK_AND_ASSIGN(OpenTable table, Open(Layout::kColumn));
-  AggPlan agg;
-  agg.group_column = 0;  // "grp" is block column 0 under this projection
-  agg.aggs = {{AggFunc::kSum, 1}, {AggFunc::kAvg, 1}, {AggFunc::kCount, 0}};
-  ParallelScanPlan plan;
-  plan.table = &table;
-  plan.spec.projection = {2, 1};
-  plan.spec.read.io_unit_bytes = 4096;
-  plan.backend = &backend_;
-  plan.agg = &agg;
-  plan.use_sort_aggregate = true;
-  ASSERT_OK_AND_ASSIGN(ExecutionResult serial, SerialExecute(plan, nullptr));
-  ASSERT_EQ(serial.rows, 7u);  // grp takes values 0..6
-  for (int k : {1, 2, 4}) {
-    ASSERT_OK_AND_ASSIGN(ParallelResult out, ParallelExecute(plan, k));
-    EXPECT_EQ(out.result.rows, serial.rows) << " k=" << k;
-    EXPECT_EQ(out.result.output_checksum, serial.output_checksum)
-        << " k=" << k;
-  }
-}
-
-TEST_F(ParallelScanTest, GroupedHashAggregateEmitsAscendingKeys) {
-  // Serial hash-aggregate group order is unspecified, so the contract is
-  // that the parallel merge emits ascending keys -- i.e. it matches the
-  // serial *sort*-aggregate byte for byte.
-  ASSERT_OK_AND_ASSIGN(OpenTable table, Open(Layout::kRow));
-  AggPlan agg;
-  agg.group_column = 0;
-  agg.aggs = {{AggFunc::kMin, 1}, {AggFunc::kMax, 1}, {AggFunc::kAvg, 1}};
-  ParallelScanPlan plan;
-  plan.table = &table;
-  plan.spec.projection = {2, 1};
-  plan.spec.read.io_unit_bytes = 4096;
-  plan.backend = &backend_;
-  plan.agg = &agg;
-  plan.use_sort_aggregate = true;
-  ASSERT_OK_AND_ASSIGN(ExecutionResult sorted_serial,
-                       SerialExecute(plan, nullptr));
-  plan.use_sort_aggregate = false;  // workers run HashAgg
-  for (int k : {2, 4}) {
-    ASSERT_OK_AND_ASSIGN(ParallelResult out, ParallelExecute(plan, k));
-    EXPECT_EQ(out.result.rows, sorted_serial.rows) << " k=" << k;
-    EXPECT_EQ(out.result.output_checksum, sorted_serial.output_checksum)
-        << " k=" << k;
-  }
-}
-
-TEST_F(ParallelScanTest, FilteredAggregateMatchesSerial) {
-  ASSERT_OK_AND_ASSIGN(OpenTable table, Open(Layout::kColumn));
-  AggPlan agg;
-  agg.group_column = 0;
-  agg.aggs = {{AggFunc::kCount, 0}, {AggFunc::kSum, 1}};
-  ParallelScanPlan plan;
-  plan.table = &table;
-  plan.spec.projection = {2, 1};
-  plan.spec.predicates = {Predicate::Int32(1, CompareOp::kGe, 40)};
-  plan.spec.read.io_unit_bytes = 4096;
-  plan.backend = &backend_;
-  plan.agg = &agg;
-  plan.use_sort_aggregate = true;
-  ASSERT_OK_AND_ASSIGN(ExecutionResult serial, SerialExecute(plan, nullptr));
-  for (int k : {2, 4}) {
-    ASSERT_OK_AND_ASSIGN(ParallelResult out, ParallelExecute(plan, k));
-    EXPECT_EQ(out.result.rows, serial.rows) << " k=" << k;
-    EXPECT_EQ(out.result.output_checksum, serial.output_checksum)
-        << " k=" << k;
   }
 }
 

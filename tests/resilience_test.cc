@@ -17,8 +17,8 @@
 #include "common/bytes.h"
 #include "common/thread_pool.h"
 #include "engine/executor.h"
+#include "engine/open_scanner.h"
 #include "engine/parallel_executor.h"
-#include "engine/plan_builder.h"
 #include "io/block_cache.h"
 #include "io/fault_injection.h"
 #include "io/file_backend.h"
@@ -89,9 +89,8 @@ class ResilienceScanTest : public ::testing::Test {
     spec.read.verify_checksums = true;
     ExecStats stats;
     stats.set_context(ctx);
-    RODB_ASSIGN_OR_RETURN(
-        OperatorPtr plan,
-        PlanBuilder::Scan(&table, std::move(spec), backend, &stats).Build());
+    RODB_ASSIGN_OR_RETURN(OperatorPtr plan,
+                          OpenScanner(table, std::move(spec), backend, &stats));
     return Execute(plan.get(), &stats);
   }
 

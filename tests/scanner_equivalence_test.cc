@@ -10,8 +10,8 @@
 
 #include "common/bytes.h"
 #include "common/random.h"
+#include "engine/open_scanner.h"
 #include "engine/parallel_executor.h"
-#include "engine/plan_builder.h"
 #include "io/block_cache.h"
 #include "scan_test_util.h"
 
@@ -365,9 +365,8 @@ TEST(ParallelEquivalenceTest, EveryLayoutAndCodecMatchesSerialChecksum) {
                                         rodb::testing::LayoutSuffix(layout)));
     for (const ScanSpec& spec : {plain, filtered}) {
       ExecStats stats;
-      ASSERT_OK_AND_ASSIGN(
-          auto root,
-          PlanBuilder::Scan(&table, spec, &backend, &stats).Build());
+      ASSERT_OK_AND_ASSIGN(auto root,
+                           OpenScanner(table, spec, &backend, &stats));
       ASSERT_OK_AND_ASSIGN(ExecutionResult serial,
                            Execute(root.get(), &stats));
       ParallelScanPlan plan;

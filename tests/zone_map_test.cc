@@ -18,8 +18,8 @@
 
 #include "common/bytes.h"
 #include "common/file_util.h"
+#include "engine/open_scanner.h"
 #include "engine/parallel_executor.h"
-#include "engine/plan_builder.h"
 #include "engine/zone_pruner.h"
 #include "obs/scan_physics.h"
 #include "scan_test_util.h"
@@ -239,9 +239,8 @@ TEST_F(ZoneMapSweepTest, ParallelPrunedChecksumMatchesSerialUnpruned) {
     for (const SweepCase& c : SweepCases()) {
       ExecStats stats;
       ASSERT_OK_AND_ASSIGN(
-          auto root, PlanBuilder::Scan(&table, SweepSpec(c.pred, false),
-                                       &backend, &stats)
-                         .Build());
+          auto root,
+          OpenScanner(table, SweepSpec(c.pred, false), &backend, &stats));
       ASSERT_OK_AND_ASSIGN(ExecutionResult serial,
                            Execute(root.get(), &stats));
       ParallelScanPlan plan;

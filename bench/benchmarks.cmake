@@ -48,6 +48,14 @@ add_test(NAME parallel_scan_smoke COMMAND parallel_scan_bench)
 set_tests_properties(parallel_scan_smoke PROPERTIES ENVIRONMENT
   "RODB_BENCH_TUPLES=100000;RODB_BENCH_DIR=${CMAKE_BINARY_DIR}/parallel_scan_smoke")
 
+# Ingest smoke: append, merge under queries, then check that the new
+# ROS generation holds every appended tuple once (the bench aborts on a
+# count or digest mismatch). No RODB_BENCH_DIR: it works in a fresh
+# temp dir and removes it.
+add_test(NAME ingest_merge_smoke COMMAND ingest_merge)
+set_tests_properties(ingest_merge_smoke PROPERTIES ENVIRONMENT
+  "RODB_BENCH_TUPLES=20000")
+
 # Golden check over the figure benches' stdout (bench/golden/).
 add_test(NAME figure_golden_test
   COMMAND ${CMAKE_COMMAND}

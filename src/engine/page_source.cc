@@ -151,8 +151,19 @@ Status PageSource::OpenNextRun() {
   IoOptions options = options_;
   options.start_offset = runs_[next_run_].offset;
   options.length = runs_[next_run_].length;
-  RODB_ASSIGN_OR_RETURN(stream_,
-                        backend_->OpenStream(table_->FilePath(file_), options));
+  const std::string path = table_->FilePath(file_);
+  RODB_ASSIGN_OR_RETURN(std::unique_ptr<SequentialStream> stream,
+                        backend_->OpenStream(path, options));
+  // A file of another size than the catalog records holds bytes the
+  // catalog does not account for, or lost some; a scan that stops short
+  // of the end (or drops a tail shorter than a page) would miss either.
+  if (stream->file_size() != table_->FileBytes(file_)) {
+    return Status::Corruption(path + ": size " +
+                              std::to_string(stream->file_size()) +
+                              " != catalog " +
+                              std::to_string(table_->FileBytes(file_)));
+  }
+  stream_ = std::move(stream);
   ++next_run_;
   return Status::OK();
 }
@@ -190,19 +201,24 @@ Result<const PageView*> PageSource::Next() {
       return Status::Corruption("I/O unit smaller than one page");
     }
   }
-  first_pos_ = pruned_ ? (view_.file_offset / page_size_ + page_in_view_) *
-                             table_->meta().PageValues(file_)
+  const uint64_t page_index = view_.file_offset / page_size_ + page_in_view_;
+  first_pos_ = pruned_ ? page_index * table_->meta().PageValues(file_)
                        : next_pos_;
   const uint8_t* data = view_.data + page_in_view_ * page_size_;
   ++page_in_view_;
-  RODB_ASSIGN_OR_RETURN(
-      PageView page,
-      PageView::Parse(data, page_size_, options_.read.verify_checksums));
-  page_.emplace(page);
+  Result<PageView> page =
+      PageView::Parse(data, page_size_, options_.read.verify_checksums);
+  if (!page.ok()) {
+    return Status(page.status().code(),
+                  table_->FilePath(file_) + " page " +
+                      std::to_string(page_index) + ": " +
+                      page.status().message());
+  }
+  page_.emplace(*page);
   stats_->counters().pages_parsed += 1;
   pages_ += 1;
-  values_ += page.count();
-  next_pos_ = first_pos_ + page.count();
+  values_ += page->count();
+  next_pos_ = first_pos_ + page->count();
   return &*page_;
 }
 

@@ -51,7 +51,12 @@ Status ValidateScanAttrs(const Schema& schema, const ScanSpec& spec);
 ///    stream read;
 ///  - cutting I/O units into pages (a unit shorter than one page is
 ///    Corruption) and parsing each page exactly once, honouring
-///    ReadOptions::verify_checksums; pages_parsed is counted here;
+///    ReadOptions::verify_checksums; a parse failure names the file and
+///    the page's index in it; pages_parsed is counted here;
+///  - the size check, applied when each stream opens: the file must be
+///    exactly the bytes the catalog records, so a tail the scan would
+///    never reach (bytes past the last page, or pages past the end an
+///    early-stopping consumer needs) fails instead of going unread;
 ///  - the completeness rule, applied when the stream ends: every
 ///    expected page must have arrived, and when the range ends at the
 ///    table's end (a whole-table scan, or a morsel's last range) the

@@ -45,12 +45,12 @@ void RemoveTableFiles(const std::string& dir, const std::string& name,
   env->Remove(SynopsisPath(dir, name));
   env->Remove(TablePaths::RowFile(dir, name));
   env->Remove(TablePaths::PaxFile(dir, name));
-  // Column files are numbered contiguously from 0; stop at the first gap.
-  for (size_t attr = 0;; ++attr) {
-    const std::string path = TablePaths::ColumnFile(dir, name, attr);
-    if (!FileExists(path)) break;
-    env->Remove(path);
-  }
+  // Column files are numbered contiguously from 0; the probe stops at the
+  // first gap. Removing from the last one down keeps the survivors of a
+  // removal cut short by a crash contiguous, so a later call finds them.
+  size_t columns = 0;
+  while (FileExists(TablePaths::ColumnFile(dir, name, columns))) ++columns;
+  while (columns > 0) env->Remove(TablePaths::ColumnFile(dir, name, --columns));
 }
 
 std::vector<FilePartition> PartitionFile(uint64_t file_size, size_t page_bytes,

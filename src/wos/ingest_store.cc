@@ -1,20 +1,18 @@
 #include "wos/ingest_store.h"
 
 #include <algorithm>
-#include <atomic>
 #include <filesystem>
 #include <numeric>
 #include <utility>
 
 #include "common/bytes.h"
-#include "common/file_util.h"
 #include "common/macros.h"
 #include "common/thread_pool.h"
+#include "engine/exec_stats.h"
+#include "engine/open_scanner.h"
 #include "io/durable_file.h"
+#include "io/file_backend.h"
 #include "obs/metrics.h"
-#include "storage/column_page.h"
-#include "storage/pax_page.h"
-#include "storage/row_page.h"
 #include "storage/table_files.h"
 
 namespace rodb {
@@ -106,128 +104,72 @@ Status ValidateTableFiles(const OpenTable& t) {
   return Status::OK();
 }
 
-Status CheckAlive(const QueryContext* context) {
-  return context == nullptr ? Status::OK() : context->CheckAlive();
-}
+/// I/O of a merge input's streams: units of 32 pages, as rodbctl reads,
+/// and a shallow prefetch. FileBackend allocates (depth + 1) units per
+/// stream and a merge opens one stream per input file, so the scan
+/// default depth would hold dozens of units per file for a consumer
+/// that drains all of them at one pace.
+constexpr size_t kMergeUnitPages = 32;
+constexpr int kMergePrefetchDepth = 2;
 
-Result<std::vector<std::vector<uint8_t>>> ReadRowTable(
-    const OpenTable& table, const QueryContext* context) {
-  const TableMeta& meta = table.meta();
-  RODB_ASSIGN_OR_RETURN(std::string file, ReadFileToString(table.FilePath(0)));
-  if (file.size() != meta.file_bytes[0]) {
-    return Status::Corruption("row file size mismatch for " + meta.name);
-  }
-  RODB_ASSIGN_OR_RETURN(OpenTable::RowCodecBundle bundle,
-                        table.MakeRowCodec());
-  std::vector<std::vector<uint8_t>> tuples;
-  tuples.reserve(meta.num_tuples);
-  const size_t width = static_cast<size_t>(meta.schema.raw_tuple_width());
-  for (uint64_t p = 0; p < meta.file_pages[0]; ++p) {
-    RODB_RETURN_IF_ERROR(CheckAlive(context));
-    const uint8_t* page =
-        reinterpret_cast<const uint8_t*>(file.data()) + p * meta.page_size;
-    RODB_ASSIGN_OR_RETURN(
-        RowPageReader reader,
-        RowPageReader::Open(page, meta.page_size, &meta.schema,
-                            bundle.row_codec.get()));
-    for (uint32_t i = 0; i < reader.count(); ++i) {
-      std::vector<uint8_t> tuple(width);
-      reader.DecodeNext(tuple.data());
-      tuples.push_back(std::move(tuple));
-    }
-  }
-  return tuples;
-}
+/// One input of the k-way merge: a full scan of every attribute in
+/// schema order, so each block tuple is the raw tuple TableWriter takes.
+/// Holds one block at a time and closes the scan, folding its I/O, on
+/// every exit.
+class MergeInput {
+ public:
+  MergeInput() = default;
+  MergeInput(const MergeInput&) = delete;
+  MergeInput& operator=(const MergeInput&) = delete;
+  ~MergeInput() { Close(); }
 
-Result<std::vector<std::vector<uint8_t>>> ReadColumnTable(
-    const OpenTable& table, const QueryContext* context) {
-  const TableMeta& meta = table.meta();
-  const size_t width = static_cast<size_t>(meta.schema.raw_tuple_width());
-  std::vector<std::vector<uint8_t>> tuples(
-      meta.num_tuples, std::vector<uint8_t>(width));
-  for (size_t attr = 0; attr < meta.schema.num_attributes(); ++attr) {
-    RODB_ASSIGN_OR_RETURN(std::string file,
-                          ReadFileToString(table.FilePath(attr)));
-    if (file.size() != meta.file_bytes[attr]) {
-      return Status::Corruption("column file size mismatch for " + meta.name);
-    }
-    RODB_ASSIGN_OR_RETURN(std::unique_ptr<AttributeCodec> codec,
-                          table.MakeAttrCodec(attr));
-    const int offset = meta.schema.attr_offset(attr);
-    uint64_t row = 0;
-    for (uint64_t p = 0; p < meta.file_pages[attr]; ++p) {
-      RODB_RETURN_IF_ERROR(CheckAlive(context));
-      const uint8_t* page =
-          reinterpret_cast<const uint8_t*>(file.data()) + p * meta.page_size;
-      RODB_ASSIGN_OR_RETURN(
-          ColumnPageReader reader,
-          ColumnPageReader::Open(page, meta.page_size, codec.get()));
-      for (uint32_t i = 0; i < reader.count(); ++i) {
-        if (row >= meta.num_tuples) {
-          return Status::Corruption("column longer than table cardinality");
-        }
-        reader.DecodeNext(tuples[row].data() + offset);
-        ++row;
-      }
-    }
-    if (row != meta.num_tuples) {
-      return Status::Corruption("column shorter than table cardinality");
-    }
+  /// Opens the scan under `context` (checked at page boundaries) and
+  /// positions on the first tuple.
+  Status Open(const OpenTable& table, IoBackend* backend,
+              const QueryContext* context) {
+    stats_.set_context(context);
+    ScanSpec spec;
+    spec.projection.resize(table.schema().num_attributes());
+    std::iota(spec.projection.begin(), spec.projection.end(), 0);
+    spec.read.io_unit_bytes = kMergeUnitPages * table.meta().page_size;
+    spec.read.prefetch_depth = kMergePrefetchDepth;
+    RODB_ASSIGN_OR_RETURN(scan_,
+                          OpenScanner(table, std::move(spec), backend, &stats_));
+    RODB_RETURN_IF_ERROR(scan_->Open());
+    return NextBlock();
   }
-  return tuples;
-}
 
-Result<std::vector<std::vector<uint8_t>>> ReadPaxTable(
-    const OpenTable& table, const QueryContext* context) {
-  const TableMeta& meta = table.meta();
-  RODB_ASSIGN_OR_RETURN(std::string file, ReadFileToString(table.FilePath(0)));
-  if (file.size() != meta.file_bytes[0]) {
-    return Status::Corruption("PAX file size mismatch for " + meta.name);
+  /// The current tuple, or null once the input is exhausted.
+  const uint8_t* tuple() const {
+    return block_ == nullptr ? nullptr : block_->tuple(row_);
   }
-  std::vector<std::unique_ptr<AttributeCodec>> owned;
-  std::vector<AttributeCodec*> codecs;
-  for (size_t a = 0; a < meta.schema.num_attributes(); ++a) {
-    RODB_ASSIGN_OR_RETURN(auto codec, table.MakeAttrCodec(a));
-    codecs.push_back(codec.get());
-    owned.push_back(std::move(codec));
+
+  Status Advance() {
+    return ++row_ < block_->size() ? Status::OK() : NextBlock();
   }
-  const size_t width = static_cast<size_t>(meta.schema.raw_tuple_width());
-  std::vector<std::vector<uint8_t>> tuples;
-  tuples.reserve(meta.num_tuples);
-  for (uint64_t p = 0; p < meta.file_pages[0]; ++p) {
-    RODB_RETURN_IF_ERROR(CheckAlive(context));
-    const uint8_t* page =
-        reinterpret_cast<const uint8_t*>(file.data()) + p * meta.page_size;
-    RODB_ASSIGN_OR_RETURN(
-        PaxPageReader reader,
-        PaxPageReader::Open(page, meta.page_size, &meta.schema, codecs));
-    for (uint32_t i = 0; i < reader.count(); ++i) {
-      std::vector<uint8_t> tuple(width);
-      for (size_t a = 0; a < codecs.size(); ++a) {
-        reader.DecodeNext(
-            a, tuple.data() +
-                   static_cast<size_t>(meta.schema.attr_offset(a)));
-      }
-      tuples.push_back(std::move(tuple));
-    }
+
+ private:
+  Status NextBlock() {
+    row_ = 0;
+    do {
+      RODB_ASSIGN_OR_RETURN(block_, scan_->Next());
+    } while (block_ != nullptr && block_->empty());
+    return Status::OK();
   }
-  return tuples;
-}
+
+  void Close() {
+    if (scan_ == nullptr) return;
+    scan_->Close();
+    stats_.FoldIo();
+  }
+
+  ExecStats stats_;
+  OperatorPtr scan_;
+  const TupleBlock* block_ = nullptr;
+  uint32_t row_ = 0;
+};
 
 }  // namespace
-
-Result<std::vector<std::vector<uint8_t>>> ReadAllTuples(
-    const OpenTable& table, const QueryContext* context) {
-  switch (table.meta().layout) {
-    case Layout::kRow:
-      return ReadRowTable(table, context);
-    case Layout::kPax:
-      return ReadPaxTable(table, context);
-    case Layout::kColumn:
-      break;
-  }
-  return ReadColumnTable(table, context);
-}
 
 TableLease::~TableLease() {
   if (obsolete_.load(std::memory_order_acquire)) {
@@ -540,17 +482,9 @@ Status IngestStore::MergeLocked(const QueryContext* context) {
   std::vector<const OpenTable*> tables;
   if (old_ros != nullptr) tables.push_back(&old_ros->table());
   for (const auto& lease : inputs) tables.push_back(&lease->table());
-
-  // The merge materializes its inputs as raw tuples; reserve that
-  // footprint against the caller's budget (the engine passes its
-  // admission budget through) or a private one from the options.
-  QueryContext ctx = context == nullptr ? QueryContext() : *context;
-  if (ctx.memory_budget() == nullptr && options_.merge_memory_bytes > 0) {
-    ctx.set_memory_budget(
-        std::make_shared<MemoryBudget>(options_.merge_memory_bytes));
-  }
   uint64_t input_tuples = 0;
   for (const OpenTable* t : tables) input_tuples += t->meta().num_tuples;
+
   // Every failure past the no-op early-out above is a failed merge and
   // must show up in rodb.ingest.merge_failures -- the fuzz harness
   // reconciles the counter exactly against its lifecycle model.
@@ -558,65 +492,20 @@ Status IngestStore::MergeLocked(const QueryContext* context) {
     IngestMetrics::Get().merge_failures->Increment();
     return s;
   };
-  Result<MemoryReservation> reserved =
-      ctx.ReserveMemory(input_tuples * tuple_width_);
-  if (!reserved.ok()) return failed(reserved.status());
-  MemoryReservation hold = std::move(*reserved);
-
   if (Status s = CheckFail("merge.read"); !s.ok()) return failed(s);
-  using Run = std::vector<std::vector<uint8_t>>;
-  const size_t n = tables.size();
-  std::vector<Run> runs(n);
-  std::vector<Status> run_status(n);
-  const int par = options_.merge_parallelism;
-  if (par > 1 && n > 1) {
-    // Multi-core read phase: helpers on the shared pool claim inputs
-    // from an atomic cursor and the calling thread claims too, so the
-    // phase degrades to serial (never deadlocks) when the pool is busy
-    // -- e.g. when this very merge is a pool task.
-    struct Phase {
-      std::atomic<size_t> next{0};
-      std::mutex mu;
-      std::condition_variable cv;
-      size_t done = 0;
-    };
-    auto phase = std::make_shared<Phase>();
-    const QueryContext* read_ctx = &ctx;
-    auto work = [phase, n, &runs, &run_status, &tables, read_ctx] {
-      size_t i;
-      while ((i = phase->next.fetch_add(1, std::memory_order_relaxed)) < n) {
-        Result<Run> run = ReadAllTuples(*tables[i], read_ctx);
-        if (run.ok()) {
-          runs[i] = std::move(*run);
-        } else {
-          run_status[i] = run.status();
-        }
-        std::lock_guard<std::mutex> lock(phase->mu);
-        phase->done += 1;
-        phase->cv.notify_all();
-      }
-    };
-    const int helpers = std::min<int>(par - 1, static_cast<int>(n) - 1);
-    for (int h = 0; h < helpers; ++h) ThreadPool::Shared()->Submit(work);
-    work();
-    std::unique_lock<std::mutex> lock(phase->mu);
-    phase->cv.wait(lock, [&] { return phase->done == n; });
-  } else {
-    for (size_t i = 0; i < n; ++i) {
-      Result<Run> run = ReadAllTuples(*tables[i], &ctx);
-      if (run.ok()) {
-        runs[i] = std::move(*run);
-      } else {
-        run_status[i] = run.status();
-      }
+  // Each input streams through its own full-table scan, one block at a
+  // time, read from a FileBackend of the merge's own (the store knows no
+  // engine, so the merge never touches its block cache).
+  FileBackend backend;
+  std::vector<MergeInput> runs(tables.size());
+  for (size_t i = 0; i < tables.size(); ++i) {
+    if (Status s = runs[i].Open(*tables[i], &backend, context); !s.ok()) {
+      return failed(s);
     }
   }
-  for (const Status& s : run_status) {
-    if (!s.ok()) return failed(s);
-  }
 
-  // Write phase: stable k-way merge (smallest key wins, older input
-  // wins ties -- input 0 is the ROS) into the next generation.
+  // Stable k-way merge (smallest key wins, older input wins ties --
+  // input 0 is the ROS) into the next generation.
   const std::string name = GenerationName(table_, gen + 1);
   Status built = [&]() -> Status {
     RODB_RETURN_IF_ERROR(CheckFail("merge.write"));
@@ -626,27 +515,20 @@ Status IngestStore::MergeLocked(const QueryContext* context) {
                             options_.page_size));
     const int key_offset =
         schema_.attr_offset(static_cast<size_t>(options_.sort_attr));
-    std::vector<size_t> idx(n, 0);
-    uint64_t appended = 0;
     while (true) {
-      int best = -1;
+      MergeInput* best = nullptr;
       int32_t best_key = 0;
-      for (size_t i = 0; i < n; ++i) {
-        if (idx[i] >= runs[i].size()) continue;
-        const int32_t key = LoadLE32s(runs[i][idx[i]].data() + key_offset);
-        if (best < 0 || key < best_key) {
-          best = static_cast<int>(i);
+      for (MergeInput& run : runs) {
+        if (run.tuple() == nullptr) continue;
+        const int32_t key = LoadLE32s(run.tuple() + key_offset);
+        if (best == nullptr || key < best_key) {
+          best = &run;
           best_key = key;
         }
       }
-      if (best < 0) break;
-      if ((appended++ & 0xFFF) == 0) {
-        RODB_RETURN_IF_ERROR(ctx.CheckAlive());
-      }
-      RODB_RETURN_IF_ERROR(
-          writer->Append(runs[static_cast<size_t>(best)]
-                             [idx[static_cast<size_t>(best)]++]
-                                 .data()));
+      if (best == nullptr) break;
+      RODB_RETURN_IF_ERROR(writer->Append(best->tuple()));
+      RODB_RETURN_IF_ERROR(best->Advance());
     }
     return writer->Finish();
   }();

@@ -56,8 +56,7 @@ IngestOptions WorkloadIngestOptions(const WorkloadOptions& options) {
   ingest.layout = options.layout;
   ingest.page_size = options.page_size;
   ingest.freeze_tuples = 0;   // the schedule drives the lifecycle
-  ingest.merge_segments = 0;  // no auto-merge: keep the child
-  ingest.merge_parallelism = 1;  // single-threaded and pool-free
+  ingest.merge_segments = 0;  // no auto-merge: the child stays pool-free
   return ingest;
 }
 

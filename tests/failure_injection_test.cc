@@ -399,6 +399,65 @@ TEST_F(FailureInjectionTest, CatalogCardinalityLieIsCorruptionInEveryScanner) {
   }
 }
 
+TEST_F(FailureInjectionTest, DataFileLongerThanCatalogIsCorruptionInEveryScanner) {
+  // Bytes appended past what the catalog records: a tail shorter than a
+  // page, a whole valid page (a copy of page 0) or a zero page. A scan
+  // can miss each without a size check: an I/O unit of several pages
+  // silently drops a sub-page tail, and the pipelined column scanner's
+  // inner nodes stop at the driving node's end. Every scanner, at 1- and
+  // 32-page units, and the engine at parallelism 1 and 2 must fail.
+  const std::string kTails[] = {"fragment", "valid page", "zero page"};
+  for (const std::string& tail : kTails) {
+    for (const ScannerCase& sc : kScanners) {
+      const size_t files = sc.layout == Layout::kColumn ? 3 : 1;
+      for (size_t file = 0; file < files; ++file) {
+        SCOPED_TRACE(std::string(sc.name) + " file " + std::to_string(file) +
+                     " + " + tail);
+        TempDir dir;
+        ASSERT_OK_AND_ASSIGN(const std::string name,
+                             LoadCopy(dir.path(), sc.layout));
+        ASSERT_OK_AND_ASSIGN(OpenTable table,
+                             OpenTable::Open(dir.path(), name));
+        const std::string path = table.FilePath(file);
+        ASSERT_OK_AND_ASSIGN(std::string bytes, ReadFileToString(path));
+        const size_t page_size = table.meta().page_size;
+        if (tail == "fragment") {
+          bytes.append(100, '\x5a');
+        } else if (tail == "valid page") {
+          bytes.append(bytes.substr(0, page_size));
+        } else {
+          bytes.append(page_size, '\0');
+        }
+        ASSERT_OK(WriteStringToFile(path, bytes));
+
+        for (const size_t unit_pages : {1, 32}) {
+          ScanSpec spec;
+          spec.projection = {0, 1, 2};
+          spec.read.io_unit_bytes = unit_pages * page_size;
+          auto rows = RunScan(table, spec, sc.impl);
+          EXPECT_TRUE(rows.status().IsCorruption())
+              << unit_pages << "-page units: "
+              << (rows.ok() ? std::to_string(*rows) + " rows"
+                            : rows.status().ToString());
+        }
+        if (sc.impl != ScannerImpl::kAuto) continue;
+        QueryEngine engine(dir.path());
+        for (const int parallelism : {1, 2}) {
+          QueryRequest request;
+          request.table = name;
+          request.scan.read.io_unit_bytes = 32 * page_size;
+          request.parallelism = parallelism;
+          auto result = engine.Execute(request);
+          EXPECT_TRUE(result.status().IsCorruption())
+              << "parallelism " << parallelism << ": "
+              << (result.ok() ? std::to_string(result->rows) + " rows"
+                              : result.status().ToString());
+        }
+      }
+    }
+  }
+}
+
 TEST_F(FailureInjectionTest, CatalogCardinalityLieIsCorruptionInParallelScans) {
   // The same lie under morsel parallelism: every morsel checks only its
   // own range, but the last one ends at the table's end and so is

@@ -688,7 +688,9 @@ struct Runner {
       }
     }
     ++stats.fault_runs;
-    stats.injected_faults += faulty.injected_total();
+    // Only the serial leg's draws replay exactly: the parallel leg's
+    // workers stop at timing-dependent points once a sibling fails.
+    if (!parallel) stats.injected_faults += faulty.injected_total();
     if (status.ok()) {
       ++stats.fault_successes;
       if (rows != oracle.rows || checksum != oracle.output_checksum) {

@@ -43,10 +43,11 @@ struct FuzzStats {
   uint64_t fault_runs = 0;        ///< runs against the fault-injecting I/O
   uint64_t fault_errors = 0;      ///< fault runs -> clean Status error
   uint64_t fault_successes = 0;   ///< fault runs -> ok, matched the oracle
-  /// Faults the backends actually fired. Outcome-deterministic but not
-  /// volume-deterministic: in parallel faulted runs a failing worker
-  /// cancels its siblings, which stop after a timing-dependent number
-  /// of draws (each per-stream sequence is still seeded).
+  /// Faults the serial fault-injected runs fired (the serial-fault and
+  /// cached-fault legs), so the count replays exactly from the seed. The
+  /// parallel faulted leg is left out: a failing worker cancels its
+  /// siblings, which stop after a timing-dependent number of draws (each
+  /// per-stream sequence is still seeded).
   uint64_t injected_faults = 0;
   uint64_t invariance_checks = 0; ///< stats-invariance cross-checks performed
   /// Vectorized-kernel axis: each query randomly runs either the batched

@@ -1,7 +1,7 @@
 // Resilient query execution (docs/RESILIENCE.md): cooperative
 // cancellation, deadlines and memory budgets threaded through the serial
 // executor, all scanners, the parallel executor and the ingest merge's
-// read path -- plus the leak audits: a query aborted mid-stream must
+// input scans -- plus the leak audits: a query aborted mid-stream must
 // release every block-cache pin and leave no work queued on the shared
 // thread pool.
 
@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <vector>
@@ -323,18 +324,43 @@ TEST_F(ResilienceScanTest, ParallelRunHonorsMemoryBudget) {
   EXPECT_EQ(roomy.memory_budget()->used_bytes(), 0u);
 }
 
-// --- ingest merge read path ---
+// --- ingest merge ---
 
-TEST_F(ResilienceScanTest, ReadAllTuplesObservesContext) {
-  ASSERT_OK_AND_ASSIGN(OpenTable table, OpenTable::Open(dir_.path(), "t_pax"));
+TEST_F(ResilienceScanTest, IngestMergeObservesContext) {
+  // The merge streams its inputs through scans under the caller's
+  // context, so a cancelled merge stops at a page boundary: one counted
+  // failure, the epoch kept, no generation file left behind.
+  IngestOptions options;
+  options.layout = Layout::kPax;
+  options.page_size = 512;
+  options.freeze_tuples = 0;
+  options.merge_segments = 0;
+  ASSERT_OK_AND_ASSIGN(auto store, IngestStore::Open(dir_.path(), "events",
+                                                     schema_, options));
+  for (size_t i = 0; i < tuples_.size(); ++i) {
+    ASSERT_OK(store->Append(tuples_[i].data()));
+    if (i % 500 == 499) ASSERT_OK(store->Freeze());
+  }
+  const uint64_t epoch = store->epoch();
+  obs::Counter* failures =
+      obs::MetricsRegistry::Default().GetCounter("rodb.ingest.merge_failures");
+  const uint64_t failures_before = failures->Value();
   QueryContext ctx;
   ctx.Cancel();
-  auto all = ReadAllTuples(table, &ctx);
-  ASSERT_FALSE(all.ok());
-  EXPECT_EQ(all.status().code(), StatusCode::kCancelled);
-  // And without a context the same call still works.
-  ASSERT_OK_AND_ASSIGN(auto tuples, ReadAllTuples(table));
-  EXPECT_EQ(tuples.size(), tuples_.size());
+  const Status merged = store->Merge(&ctx);
+  EXPECT_EQ(merged.code(), StatusCode::kCancelled) << merged.ToString();
+  EXPECT_EQ(failures->Value(), failures_before + 1);
+  EXPECT_EQ(store->epoch(), epoch);
+  for (const auto& entry : std::filesystem::directory_iterator(dir_.path())) {
+    EXPECT_NE(entry.path().filename().string().rfind("events__gen", 0), 0u)
+        << entry.path();
+  }
+  // And without a context the same merge runs to completion.
+  ASSERT_OK(store->Merge());
+  const Snapshot snap = store->Acquire();
+  ASSERT_NE(snap.ros(), nullptr);
+  EXPECT_EQ(snap.num_frozen(), 0u);
+  EXPECT_EQ(snap.ros()->meta().num_tuples, tuples_.size());
 }
 
 }  // namespace

@@ -20,6 +20,7 @@
 #include <random>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "common/bytes.h"
@@ -239,7 +240,6 @@ TEST(SnapshotConsistencyTest, ConcurrentReadsSeeConsistentPrefixes) {
   options.page_size = 1024;
   options.freeze_tuples = 256;  // auto-freeze inline on the writer
   options.merge_segments = 2;   // auto-merge on the shared pool
-  options.merge_parallelism = 2;
   ASSERT_OK(db.EnsureIngest("stream", schema, options));
   std::shared_ptr<IngestStore> store = db.ingest("stream");
   ASSERT_NE(store, nullptr);
@@ -369,17 +369,32 @@ TEST(SnapshotConsistencyTest, IngestNeverBlocksBehindMerge) {
   EXPECT_EQ(after.num_frozen(), 1u);
 }
 
+/// The compressed MergeIdentityTest schema: ForDelta on the sorted key,
+/// BitPack, and a dictionary-coded text attribute, so the merge's input
+/// scans decode every codec family back to the raw tuple.
+Schema CodecSchema() {
+  auto schema = Schema::Make(
+      {AttributeDesc::Int32("key", CodecSpec::ForDelta(8)),
+       AttributeDesc::Int32("val", CodecSpec::BitPack(10)),
+       AttributeDesc::Text("tag", 4, CodecSpec::Dict(2))});
+  EXPECT_TRUE(schema.ok());
+  return std::move(schema).value();
+}
+
 /// Merging must be invisible in the bytes: after the lifecycle folds
 /// everything into one generation, that table must be byte-identical to
 /// a from-scratch bulk load of the same tuples (stable-sorted by the
 /// clustering key), zone maps and all.
-class MergeIdentityTest : public ::testing::TestWithParam<Layout> {};
+class MergeIdentityTest
+    : public ::testing::TestWithParam<std::tuple<Layout, bool>> {};
 
 TEST_P(MergeIdentityTest, PostMergeRosMatchesBulkLoadByteForByte) {
+  const auto [layout, compressed] = GetParam();
   TempDir dir;
-  const Schema schema = PlainSchema();
+  const Schema schema = compressed ? CodecSchema() : PlainSchema();
+  static const char* kTags[] = {"AAAA", "BBBB", "CCCC", "DDDD"};
   IngestOptions options;
-  options.layout = GetParam();
+  options.layout = layout;
   options.page_size = 1024;
   options.freeze_tuples = 0;
   options.merge_segments = 0;
@@ -393,7 +408,11 @@ TEST_P(MergeIdentityTest, PostMergeRosMatchesBulkLoadByteForByte) {
   for (int round = 0; round < 7; ++round) {
     const int n = 150 + static_cast<int>(rng() % 200);
     for (int i = 0; i < n; ++i) {
-      const std::vector<uint8_t> row = Row(value(rng), value(rng));
+      std::vector<uint8_t> row = Row(value(rng), value(rng));
+      if (compressed) {
+        const char* tag = kTags[rng() % 4];
+        row.insert(row.end(), tag, tag + 4);
+      }
       ASSERT_OK(store->Append(row.data()));
       ref.push_back(row);
     }
@@ -438,12 +457,15 @@ TEST_P(MergeIdentityTest, PostMergeRosMatchesBulkLoadByteForByte) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Layouts, MergeIdentityTest,
-                         ::testing::Values(Layout::kRow, Layout::kColumn,
-                                           Layout::kPax),
-                         [](const ::testing::TestParamInfo<Layout>& info) {
-                           return std::string(LayoutName(info.param));
-                         });
+INSTANTIATE_TEST_SUITE_P(
+    LayoutsAndCodecs, MergeIdentityTest,
+    ::testing::Combine(::testing::Values(Layout::kRow, Layout::kColumn,
+                                         Layout::kPax),
+                       ::testing::Bool()),
+    [](const ::testing::TestParamInfo<std::tuple<Layout, bool>>& info) {
+      return std::string(LayoutName(std::get<0>(info.param))) +
+             (std::get<1>(info.param) ? "_compressed" : "_plain");
+    });
 
 /// Restart semantics: committed lifecycle state (manifest + segments +
 /// ROS) survives a reopen; the volatile active segment does not.

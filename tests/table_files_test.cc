@@ -1,11 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <filesystem>
 #include <string>
 #include <vector>
 
 #include "common/bytes.h"
 #include "common/file_util.h"
+#include "io/durable_file.h"
 #include "storage/catalog.h"
 #include "storage/table_files.h"
 #include "test_util.h"
@@ -173,6 +175,54 @@ uint64_t CoveredBytes(const std::vector<FilePartition>& parts) {
   uint64_t total = 0;
   for (const FilePartition& p : parts) total += p.length;
   return total;
+}
+
+/// Passes the first `budget` removals to the real filesystem and drops
+/// the rest, like a process killed between two unlinks.
+class DyingEnv : public DurableEnv {
+ public:
+  explicit DyingEnv(int budget) : budget_(budget) {}
+  Result<std::unique_ptr<DurableFile>> Create(const std::string& path) override {
+    return DurableEnv::Posix()->Create(path);
+  }
+  Status Rename(const std::string& from, const std::string& to) override {
+    return DurableEnv::Posix()->Rename(from, to);
+  }
+  Status SyncDir(const std::string& dir) override {
+    return DurableEnv::Posix()->SyncDir(dir);
+  }
+  Status Remove(const std::string& path) override {
+    if (budget_-- <= 0) return Status::IoError("killed");
+    return DurableEnv::Posix()->Remove(path);
+  }
+
+ private:
+  int budget_;
+};
+
+TEST(RemoveTableFilesTest, RemovalCutShortIsFinishedByTheNextCall) {
+  // A crash may stop RemoveTableFiles after any unlink (segment
+  // retirement and the orphan sweep both run it); the recovery sweep's
+  // call must then remove whatever survived, column files included.
+  const Schema schema = SmallSchema(/*compressed=*/true);
+  for (int budget = 0; budget <= 12; ++budget) {
+    SCOPED_TRACE("removals before the crash: " + std::to_string(budget));
+    testing::TempDir dir;
+    ASSERT_OK_AND_ASSIGN(auto writer,
+                         TableWriter::Create(dir.path(), "t", schema,
+                                             Layout::kColumn, 512));
+    for (int i = 0; i < 300; ++i) {
+      ASSERT_OK(writer->Append(SmallTuple(i, i % 2 ? 'A' : 'B', i).data()));
+    }
+    ASSERT_OK(writer->Finish());
+    DyingEnv dying(budget);
+    RemoveTableFiles(dir.path(), "t", &dying);
+    RemoveTableFiles(dir.path(), "t");
+    for (const auto& entry :
+         std::filesystem::directory_iterator(dir.path())) {
+      ADD_FAILURE() << "survived: " << entry.path().filename().string();
+    }
+  }
 }
 
 TEST(PartitionFileTest, EvenSplitCoversFileContiguously) {

@@ -5,7 +5,8 @@
 //   rodbctl describe <dir> <table>
 //       schema, compression specs, per-file page counts
 //   rodbctl verify <dir> <table>
-//       re-read every page of every file with checksum verification
+//       re-read every page of every file with checksum verification and
+//       decode every tuple (one Database::Execute scan, like `scan`)
 //   rodbctl scan <dir> <table> [limit [attr op value]] [--trace]
 //       print tuples (optionally filtered by one predicate); `op` is one
 //       of = != < <= > >=; --trace prints the span tree plus the
@@ -51,7 +52,6 @@
 
 #include "advisor/compression_advisor.h"
 #include "common/bytes.h"
-#include "common/file_util.h"
 #include "common/macros.h"
 #include "engine/executor.h"
 #include "engine/zone_pruner.h"
@@ -149,47 +149,34 @@ Status CmdDescribe(const std::string& dir, const std::string& name) {
   return Status::OK();
 }
 
+/// The full-table request `scan`, `verify` and `advise` share: every
+/// attribute in schema order (a block tuple is the raw tuple), I/O units
+/// of 32 pages, and table order, which also runs it exclusive -- a
+/// private scan that reads and checks every page itself.
+QueryRequest FullTableRequest(const std::string& name, const TableMeta& meta) {
+  QueryRequest request;
+  request.table = name;
+  request.scan.projection.resize(meta.schema.num_attributes());
+  std::iota(request.scan.projection.begin(), request.scan.projection.end(),
+            0);
+  request.scan.read.io_unit_bytes = 32 * meta.page_size;
+  request.ordered = true;
+  return request;
+}
+
+/// Re-reads every page of every file with checksum verification and
+/// decodes every tuple through the table's codecs. The scan's size
+/// check, per-page parse and completeness rule locate what is wrong.
 Status CmdVerify(const std::string& dir, const std::string& name) {
-  RODB_ASSIGN_OR_RETURN(OpenTable table, OpenTable::Open(dir, name));
-  const TableMeta& meta = table.meta();
-  uint64_t pages = 0, tuples = 0;
-  const size_t n_files = meta.file_pages.size();
-  for (size_t f = 0; f < n_files; ++f) {
-    const std::string path = table.FilePath(n_files == 1 ? 0 : f);
-    RODB_ASSIGN_OR_RETURN(std::string blob, ReadFileToString(path));
-    if (blob.size() != meta.file_bytes[f]) {
-      return Status::Corruption(path + ": size " +
-                                std::to_string(blob.size()) +
-                                " != catalog " +
-                                std::to_string(meta.file_bytes[f]));
-    }
-    for (uint64_t p = 0; p < meta.file_pages[f]; ++p) {
-      auto view = PageView::Parse(
-          reinterpret_cast<const uint8_t*>(blob.data()) + p * meta.page_size,
-          meta.page_size, /*verify_checksum=*/true);
-      if (!view.ok()) {
-        return Status::Corruption(path + " page " + std::to_string(p) + ": " +
-                                  view.status().ToString());
-      }
-      ++pages;
-      // Cardinality is counted once: the single file for row/PAX, the
-      // first column file otherwise.
-      if (f == 0) tuples += view->count();
-    }
-  }
-  if (tuples != meta.num_tuples) {
-    return Status::Corruption("tuple count " + std::to_string(tuples) +
-                              " != catalog " +
-                              std::to_string(meta.num_tuples));
-  }
-  // Full decode pass through every codec.
-  RODB_ASSIGN_OR_RETURN(auto all, ReadAllTuples(table));
-  if (all.size() != meta.num_tuples) {
-    return Status::Corruption("decoded tuple count mismatch");
-  }
+  RODB_ASSIGN_OR_RETURN(Database db, Database::Open(dir));
+  RODB_ASSIGN_OR_RETURN(TableMeta meta, db.Meta(name));
+  QueryRequest request = FullTableRequest(name, meta);
+  request.scan.read.verify_checksums = true;
+  RODB_ASSIGN_OR_RETURN(QueryResult result, db.Execute(request));
   std::printf("%s: OK -- %llu pages verified, %llu tuples decoded\n",
-              name.c_str(), static_cast<unsigned long long>(pages),
-              static_cast<unsigned long long>(all.size()));
+              name.c_str(),
+              static_cast<unsigned long long>(result.counters.pages_parsed),
+              static_cast<unsigned long long>(result.rows));
   return Status::OK();
 }
 
@@ -283,15 +270,9 @@ Status CmdScan(const std::string& dir, const std::string& name,
     RODB_RETURN_IF_ERROR(db.EnsureIngest(name, schema, ingest_options));
   }
 
-  QueryRequest request;
-  request.table = name;
-  // Every attribute in schema order: how the rows print, and what the
+  // Every attribute in schema order is how the rows print, and what the
   // model comparison below predicts from.
-  request.scan.projection.resize(schema.num_attributes());
-  std::iota(request.scan.projection.begin(), request.scan.projection.end(),
-            0);
-  request.scan.read.io_unit_bytes =
-      RoundUp(meta.page_size * 32, meta.page_size);
+  QueryRequest request = FullTableRequest(name, meta);
   if (where_attr != nullptr) {
     RODB_ASSIGN_OR_RETURN(
         Predicate pred,
@@ -301,9 +282,8 @@ Status CmdScan(const std::string& dir, const std::string& name,
   // Zone-map pruning defaults on for predicated scans; the synopsis layer
   // makes the pruned scan return exactly the unpruned tuples.
   request.scan.prune = !no_prune;
-  // Print in table order; also keeps the traced run exclusive so the
-  // span tree covers a private scan.
-  request.ordered = true;
+  // Table order (from FullTableRequest) also keeps the traced run
+  // exclusive, so the span tree covers a private scan.
   request.collect_rows = true;
   request.limit_rows = limit;
   if (resilience.deadline_ms > 0) {
@@ -666,16 +646,26 @@ Status RunIngest(
 }
 
 Status CmdAdvise(const std::string& dir, const std::string& name) {
-  RODB_ASSIGN_OR_RETURN(OpenTable table, OpenTable::Open(dir, name));
-  RODB_ASSIGN_OR_RETURN(auto tuples, ReadAllTuples(table));
-  constexpr size_t kSample = 20000;
-  if (tuples.size() > kSample) tuples.resize(kSample);
+  RODB_ASSIGN_OR_RETURN(Database db, Database::Open(dir));
+  RODB_ASSIGN_OR_RETURN(TableMeta meta, db.Meta(name));
+  // The advisor samples the table's first tuples.
+  QueryRequest request = FullTableRequest(name, meta);
+  request.collect_rows = true;
+  request.limit_rows = 20000;
+  RODB_ASSIGN_OR_RETURN(QueryResult result, db.Execute(request));
+  const size_t width = static_cast<size_t>(result.row_layout.tuple_width);
+  std::vector<std::vector<uint8_t>> tuples;
+  tuples.reserve(result.rows_collected);
+  for (uint64_t i = 0; i < result.rows_collected; ++i) {
+    tuples.emplace_back(result.collected_tuple(i),
+                        result.collected_tuple(i) + width);
+  }
   CompressionAdvisor advisor;
   RODB_ASSIGN_OR_RETURN(Schema advised,
-                        advisor.AdviseSchema(table.schema(), tuples));
+                        advisor.AdviseSchema(meta.schema, tuples));
   std::printf("%-18s %-10s %-14s\n", "attribute", "current", "advised");
   for (size_t a = 0; a < advised.num_attributes(); ++a) {
-    const CodecSpec current = table.schema().attribute(a).codec;
+    const CodecSpec current = meta.schema.attribute(a).codec;
     const CodecSpec next = advised.attribute(a).codec;
     char cur_s[32], next_s[32];
     std::snprintf(cur_s, sizeof(cur_s), "%s:%d",

@@ -43,10 +43,10 @@ Status ValidateScanAttrs(const Schema& schema, const ScanSpec& spec);
 ///    bookkeeping), and the retry loop observes the query's cancellation
 ///    and deadline through the context's AliveCheck;
 ///  - which pages to fetch: a prune node's retained runs (one stream per
-///    run, opened lazily on first demand -- FileBackend spawns a
-///    prefetch thread per stream, so eagerly opening many short runs
-///    would be wasteful) or the pages the spec's range covers (one
-///    stream, opened by Open());
+///    run, opened lazily on first demand -- a FileBackend stream longer
+///    than one I/O unit holds a ring and a prefetch thread, so eagerly
+///    opening many runs would hold them all at once) or the pages the
+///    spec's range covers (one stream, opened by Open());
 ///  - the page-boundary liveness check and the `io` span around each
 ///    stream read;
 ///  - cutting I/O units into pages (a unit shorter than one page is

@@ -9,7 +9,6 @@
 #include <deque>
 #include <mutex>
 #include <thread>
-#include <vector>
 
 #include "obs/metrics.h"
 
@@ -17,27 +16,52 @@ namespace rodb {
 
 namespace {
 
+/// Counts one rodb.io.prefetch_ready (the request found its unit, or the
+/// end, already there) or one rodb.io.prefetch_stalls (it waited on the
+/// disk).
+void RecordPrefetchUtilization(bool ready) {
+  auto& reg = obs::MetricsRegistry::Default();
+  static obs::Counter* hits = reg.GetCounter("rodb.io.prefetch_ready");
+  static obs::Counter* stalls = reg.GetCounter("rodb.io.prefetch_stalls");
+  (ready ? hits : stalls)->Increment();
+}
+
+/// Preads up to `want` bytes at `offset` into `buf`, resuming short
+/// reads. Returns the bytes read -- fewer than `want` only when the file
+/// ended first -- or -1 on a read error.
+ssize_t PreadFully(int fd, uint8_t* buf, size_t want, uint64_t offset) {
+  size_t got = 0;
+  while (got < want) {
+    const ssize_t n = ::pread(fd, buf + got, want - got,
+                              static_cast<off_t>(offset + got));
+    if (n < 0) return -1;
+    if (n == 0) break;  // truncated file
+    got += static_cast<size_t>(n);
+  }
+  return static_cast<ssize_t>(got);
+}
+
 /// Prefetching stream over a POSIX fd. A producer thread preads
 /// sequentially into a bounded ring; Next() hands units to the consumer in
-/// file order. The ring holds prefetch_depth + 1 buffers: depth in flight
-/// plus the one the consumer is currently holding.
+/// file order. The ring holds `credit` + 1 buffers: `credit` in flight
+/// plus the one the consumer is currently holding, where `credit` is the
+/// prefetch depth capped by the units the range holds.
 class AsyncFileStream final : public SequentialStream {
  public:
-  AsyncFileStream(int fd, uint64_t file_size, const IoOptions& options)
-      : fd_(fd), file_size_(file_size),
-        range_start_(std::min(options.start_offset, file_size)),
-        range_end_(options.length > file_size - range_start_
-                       ? file_size
-                       : range_start_ + options.length),
-        unit_(options.read.io_unit_bytes),
-        depth_(options.read.prefetch_depth < 1 ? 1
-                                               : options.read.prefetch_depth),
-        stats_(options.read.stats) {
-    const size_t ring = static_cast<size_t>(depth_) + 1;
-    buffers_.resize(ring);
-    for (auto& buf : buffers_) buf.resize(unit_);
+  AsyncFileStream(int fd, uint64_t file_size, uint64_t range_start,
+                  uint64_t range_end, size_t unit, size_t credit,
+                  IoStats* stats)
+      : fd_(fd), file_size_(file_size), range_start_(range_start),
+        range_end_(range_end), unit_(unit), slots_(credit + 1),
+        stats_(stats),
+        // Default-initialised: every byte handed out was written by pread.
+        ring_(new uint8_t[slots_ * unit_]),
+        free_slots_(credit) {
     producer_ = std::thread([this] { ProducerLoop(); });
   }
+
+  AsyncFileStream(const AsyncFileStream&) = delete;
+  AsyncFileStream& operator=(const AsyncFileStream&) = delete;
 
   ~AsyncFileStream() override {
     {
@@ -75,7 +99,7 @@ class AsyncFileStream final : public SequentialStream {
       stats_->bytes_read += f.size;
       stats_->requests += 1;
     }
-    return IoView{buffers_[f.slot].data(), f.size, f.offset};
+    return IoView{Slot(f.slot), f.size, f.offset};
   }
 
   uint64_t file_size() const override { return file_size_; }
@@ -87,12 +111,7 @@ class AsyncFileStream final : public SequentialStream {
     uint64_t offset;
   };
 
-  static void RecordPrefetchUtilization(bool ready) {
-    auto& reg = obs::MetricsRegistry::Default();
-    static obs::Counter* hits = reg.GetCounter("rodb.io.prefetch_ready");
-    static obs::Counter* stalls = reg.GetCounter("rodb.io.prefetch_stalls");
-    (ready ? hits : stalls)->Increment();
-  }
+  uint8_t* Slot(size_t slot) const { return ring_.get() + slot * unit_; }
 
   void ProducerLoop() {
     uint64_t offset = range_start_;
@@ -107,20 +126,14 @@ class AsyncFileStream final : public SequentialStream {
       if (offset >= range_end_) break;
       const size_t want = static_cast<size_t>(
           std::min<uint64_t>(unit_, range_end_ - offset));
-      size_t got = 0;
-      while (got < want) {
-        const ssize_t n =
-            ::pread(fd_, buffers_[slot].data() + got, want - got,
-                    static_cast<off_t>(offset + got));
-        if (n < 0) {
-          std::lock_guard<std::mutex> lock(mu_);
-          error_ = Status::IoError("pread failed");
-          cv_consumer_.notify_all();
-          return;
-        }
-        if (n == 0) break;  // truncated file
-        got += static_cast<size_t>(n);
+      const ssize_t n = PreadFully(fd_, Slot(slot), want, offset);
+      if (n < 0) {
+        std::lock_guard<std::mutex> lock(mu_);
+        error_ = Status::IoError("pread failed");
+        cv_consumer_.notify_all();
+        return;
       }
+      const size_t got = static_cast<size_t>(n);
       {
         std::lock_guard<std::mutex> lock(mu_);
         filled_.push_back({slot, got, offset});
@@ -132,7 +145,7 @@ class AsyncFileStream final : public SequentialStream {
         }
       }
       offset += got;
-      slot = (slot + 1) % buffers_.size();
+      slot = (slot + 1) % slots_;
     }
     std::lock_guard<std::mutex> lock(mu_);
     produced_all_ = true;
@@ -144,38 +157,84 @@ class AsyncFileStream final : public SequentialStream {
   const uint64_t range_start_;
   const uint64_t range_end_;
   const size_t unit_;
-  const int depth_;
+  const size_t slots_;
   IoStats* const stats_;
+  const std::unique_ptr<uint8_t[]> ring_;
 
-  std::vector<std::vector<uint8_t>> buffers_;
   std::mutex mu_;
   std::condition_variable cv_producer_;
   std::condition_variable cv_consumer_;
   std::deque<Filled> filled_;
-  size_t free_slots_ = 0;  // set in ctor body via initial credit below
+  size_t free_slots_;
   bool holding_ = false;
   bool produced_all_ = false;
   bool stop_ = false;
   Status error_;
   std::thread producer_;
+};
 
+/// A range of at most one I/O unit has nothing to prefetch ahead of its
+/// first request, so its stream runs no thread and holds no ring: the
+/// first Next() preads the whole range (the consumer waits on that read,
+/// which counts as one prefetch stall) and every later call returns the
+/// end view, or the read's error again.
+class OneUnitFileStream final : public SequentialStream {
  public:
-  /// Gives the producer its initial credit (depth slots). Called once by
-  /// the factory right after construction.
-  void GrantInitialCredit() {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      free_slots_ = static_cast<size_t>(depth_);
+  OneUnitFileStream(int fd, uint64_t file_size, uint64_t range_start,
+                    uint64_t range_end, IoStats* stats)
+      : fd_(fd), file_size_(file_size), range_start_(range_start),
+        range_end_(range_end), stats_(stats) {}
+
+  OneUnitFileStream(const OneUnitFileStream&) = delete;
+  OneUnitFileStream& operator=(const OneUnitFileStream&) = delete;
+
+  ~OneUnitFileStream() override { ::close(fd_); }
+
+  Result<IoView> Next() override {
+    const bool read_now = !read_ && range_start_ < range_end_;
+    read_ = true;
+    RecordPrefetchUtilization(!read_now);
+    if (!read_now) {
+      if (!error_.ok()) return error_;
+      return IoView{nullptr, 0, file_size_};  // EOF
     }
-    cv_producer_.notify_one();
+    const size_t want = static_cast<size_t>(range_end_ - range_start_);
+    buffer_.reset(new uint8_t[want]);
+    const ssize_t got = PreadFully(fd_, buffer_.get(), want, range_start_);
+    if (got < 0) {
+      error_ = Status::IoError("pread failed");
+      return error_;
+    }
+    if (static_cast<size_t>(got) < want) {
+      error_ = Status::IoError("file shrank while reading");
+      return error_;
+    }
+    if (stats_ != nullptr) {
+      stats_->bytes_read += want;
+      stats_->requests += 1;
+    }
+    return IoView{buffer_.get(), want, range_start_};
   }
+
+  uint64_t file_size() const override { return file_size_; }
+
+ private:
+  const int fd_;
+  const uint64_t file_size_;
+  const uint64_t range_start_;
+  const uint64_t range_end_;
+  IoStats* const stats_;
+  std::unique_ptr<uint8_t[]> buffer_;
+  bool read_ = false;
+  Status error_;
 };
 
 }  // namespace
 
 Result<std::unique_ptr<SequentialStream>> FileBackend::OpenStream(
     const std::string& path, const IoOptions& options) {
-  if (options.read.io_unit_bytes == 0) {
+  const size_t unit = options.read.io_unit_bytes;
+  if (unit == 0) {
     return Status::InvalidArgument("io_unit_bytes must be positive");
   }
   const int fd = ::open(path.c_str(), O_RDONLY);
@@ -185,11 +244,25 @@ Result<std::unique_ptr<SequentialStream>> FileBackend::OpenStream(
     ::close(fd);
     return Status::IoError("fstat failed for " + path);
   }
-  if (options.read.stats != nullptr) options.read.stats->files_opened += 1;
-  auto stream = std::make_unique<AsyncFileStream>(
-      fd, static_cast<uint64_t>(st.st_size), options);
-  stream->GrantInitialCredit();
-  return std::unique_ptr<SequentialStream>(std::move(stream));
+  IoStats* const stats = options.read.stats;
+  if (stats != nullptr) stats->files_opened += 1;
+  const uint64_t file_size = static_cast<uint64_t>(st.st_size);
+  const uint64_t start = std::min(options.start_offset, file_size);
+  const uint64_t end = options.length > file_size - start
+                           ? file_size
+                           : start + options.length;
+  const uint64_t units = (end - start + unit - 1) / unit;
+  if (units <= 1) {
+    return std::unique_ptr<SequentialStream>(
+        new OneUnitFileStream(fd, file_size, start, end, stats));
+  }
+  // Sec. 2.2.3: at most prefetch_depth units in flight ahead of the
+  // consumer -- and a range never needs more than it holds.
+  const uint64_t depth =
+      static_cast<uint64_t>(std::max(1, options.read.prefetch_depth));
+  const size_t credit = static_cast<size_t>(std::min(depth, units));
+  return std::unique_ptr<SequentialStream>(
+      new AsyncFileStream(fd, file_size, start, end, unit, credit, stats));
 }
 
 }  // namespace rodb

@@ -10,9 +10,13 @@ namespace rodb {
 /// The paper implements prefetching with Linux AIO inside a single-
 /// threaded process; rodb reaches the same behaviour portably with one
 /// background producer thread per stream that keeps up to `prefetch_depth`
-/// I/O units resident in a ring of reusable buffers while the consumer
-/// (the query engine) drains them in order. As in the paper there is no
-/// buffer pool: the stream hands the query a pointer into the ring.
+/// I/O units in flight in a ring of reusable buffers while the consumer
+/// (the query engine) drains them in order. The ring is sized to the
+/// range -- min(prefetch_depth, units the range holds) + 1 buffers, never
+/// zero-filled -- and a range of at most one I/O unit gets a stream with
+/// no thread and no ring, which preads the unit on its first Next(). As
+/// in the paper there is no buffer pool: the stream hands the query a
+/// pointer into its buffer.
 class FileBackend : public IoBackend {
  public:
   Result<std::unique_ptr<SequentialStream>> OpenStream(

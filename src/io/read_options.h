@@ -25,7 +25,8 @@ class QueryTrace;
 struct ReadOptions {
   /// I/O request granularity (Section 2.2.3: fixed-size I/O units).
   size_t io_unit_bytes = 128 * 1024;
-  /// I/O units kept in flight ahead of the consumer.
+  /// At most this many I/O units in flight ahead of the consumer, capped
+  /// by the units the range holds.
   int prefetch_depth = 48;
   /// Verify every page's CRC-32 before decoding it. Off on the hot path
   /// (as in any engine); turned on by verification tools and by the

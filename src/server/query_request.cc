@@ -13,6 +13,9 @@ namespace {
 /// Budget step of a collected-row buffer.
 constexpr uint64_t kRowReserveStep = 256 * 1024;
 
+/// FNV-1a's 64-bit prime (Fnv1aExtend's multiplier).
+constexpr uint64_t kFnv1aPrime = 1099511628211ULL;
+
 }  // namespace
 
 ResultFold::ResultFold(const QueryRequest& request, const QueryContext* ctx,
@@ -28,13 +31,26 @@ ResultFold::ResultFold(const QueryRequest& request, const QueryContext* ctx,
 Status ResultFold::Add(const uint8_t* tuples, uint32_t count) {
   const size_t width = static_cast<size_t>(out_->row_layout.tuple_width);
   out_->blocks += 1;
-  out_->output_checksum = Fnv1aExtend(out_->output_checksum, tuples,
-                                      static_cast<size_t>(count) * width);
+  out_->rows += count;
+  // One pass over each tuple's bytes feeds both FNV-1a chains: the
+  // block-spanning output_checksum and the tuple's own hash summed into
+  // row_digest. The two chains are independent, so they overlap.
+  uint64_t checksum = out_->output_checksum;
+  uint64_t digest = out_->row_digest;
   for (uint32_t i = 0; i < count; ++i) {
     const uint8_t* tuple = tuples + static_cast<size_t>(i) * width;
-    out_->row_digest += Fnv1aExtend(kFnv1aSeed, tuple, width);
-    ++out_->rows;
-    if (out_->rows_collected >= collect_limit_) continue;
+    uint64_t row = kFnv1aSeed;
+    for (size_t b = 0; b < width; ++b) {
+      checksum = (checksum ^ tuple[b]) * kFnv1aPrime;
+      row = (row ^ tuple[b]) * kFnv1aPrime;
+    }
+    digest += row;
+  }
+  out_->output_checksum = checksum;
+  out_->row_digest = digest;
+  for (uint32_t i = 0; i < count && out_->rows_collected < collect_limit_;
+       ++i) {
+    const uint8_t* tuple = tuples + static_cast<size_t>(i) * width;
     if (out_->row_data.size() + width > reserved_bytes_) {
       RODB_ASSIGN_OR_RETURN(MemoryReservation hold,
                             ctx_->ReserveMemory(kRowReserveStep));

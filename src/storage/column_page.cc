@@ -51,15 +51,6 @@ Status ColumnPageBuilder::Finish(uint32_t page_id) {
   return page_writer_->Finish(page_id, metas);
 }
 
-Result<ColumnPageReader> ColumnPageReader::Open(const uint8_t* page,
-                                                size_t page_size,
-                                                AttributeCodec* codec,
-                                                bool verify_checksum) {
-  RODB_ASSIGN_OR_RETURN(PageView view,
-                        PageView::Parse(page, page_size, verify_checksum));
-  return Open(view, codec);
-}
-
 Result<ColumnPageReader> ColumnPageReader::Open(const PageView& view,
                                                 AttributeCodec* codec) {
   if (codec == nullptr) {

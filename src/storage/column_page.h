@@ -39,12 +39,8 @@ class ColumnPageBuilder {
 /// Sequentially decodes one column page through its (stateful) codec.
 class ColumnPageReader {
  public:
-  /// `verify_checksum` additionally validates the page CRC (see
-  /// PageView::Parse) so silent payload corruption fails the open.
-  static Result<ColumnPageReader> Open(const uint8_t* page, size_t page_size,
-                                       AttributeCodec* codec,
-                                       bool verify_checksum = false);
-  /// Same, over a page already parsed (and, if asked, verified).
+  /// Opens a page already parsed (and, if asked, verified) by
+  /// PageView::Parse.
   static Result<ColumnPageReader> Open(const PageView& view,
                                        AttributeCodec* codec);
 

@@ -126,14 +126,6 @@ Status PaxPageBuilder::Finish(uint32_t page_id) {
 }
 
 Result<PaxPageReader> PaxPageReader::Open(
-    const uint8_t* page, size_t page_size, const Schema* schema,
-    const std::vector<AttributeCodec*>& codecs, bool verify_checksum) {
-  RODB_ASSIGN_OR_RETURN(PageView view,
-                        PageView::Parse(page, page_size, verify_checksum));
-  return Open(view, schema, codecs);
-}
-
-Result<PaxPageReader> PaxPageReader::Open(
     const PageView& view, const Schema* schema,
     const std::vector<AttributeCodec*>& codecs) {
   if (schema == nullptr || codecs.size() != schema->num_attributes()) {

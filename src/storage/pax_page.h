@@ -73,14 +73,9 @@ class PaxPageBuilder {
 /// is exactly what gives PAX its cache selectivity.
 class PaxPageReader {
  public:
-  /// `codecs` must match the page's schema; they are reset per page.
-  /// `verify_checksum` additionally validates the page CRC (see
-  /// PageView::Parse) so silent payload corruption fails the open.
-  static Result<PaxPageReader> Open(const uint8_t* page, size_t page_size,
-                                    const Schema* schema,
-                                    const std::vector<AttributeCodec*>& codecs,
-                                    bool verify_checksum = false);
-  /// Same, over a page already parsed (and, if asked, verified).
+  /// Opens a page already parsed (and, if asked, verified) by
+  /// PageView::Parse. `codecs` must match the page's schema; they are
+  /// reset per page.
   static Result<PaxPageReader> Open(const PageView& view,
                                     const Schema* schema,
                                     const std::vector<AttributeCodec*>& codecs);

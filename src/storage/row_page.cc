@@ -68,16 +68,6 @@ Status RowPageBuilder::Finish(uint32_t page_id) {
   return page_writer_->Finish(page_id, metas);
 }
 
-Result<RowPageReader> RowPageReader::Open(const uint8_t* page,
-                                          size_t page_size,
-                                          const Schema* schema,
-                                          RowCodec* codec,
-                                          bool verify_checksum) {
-  RODB_ASSIGN_OR_RETURN(PageView view,
-                        PageView::Parse(page, page_size, verify_checksum));
-  return Open(view, schema, codec);
-}
-
 Result<RowPageReader> RowPageReader::Open(const PageView& view,
                                           const Schema* schema,
                                           RowCodec* codec) {

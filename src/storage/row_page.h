@@ -59,12 +59,8 @@ class RowPageBuilder {
 /// through the (stateful) RowCodec.
 class RowPageReader {
  public:
-  /// `verify_checksum` additionally validates the page CRC (see
-  /// PageView::Parse) so silent payload corruption fails the open.
-  static Result<RowPageReader> Open(const uint8_t* page, size_t page_size,
-                                    const Schema* schema, RowCodec* codec,
-                                    bool verify_checksum = false);
-  /// Same, over a page already parsed (and, if asked, verified).
+  /// Opens a page already parsed (and, if asked, verified) by
+  /// PageView::Parse.
   static Result<RowPageReader> Open(const PageView& view,
                                     const Schema* schema, RowCodec* codec);
 

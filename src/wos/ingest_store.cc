@@ -105,9 +105,10 @@ Status ValidateTableFiles(const OpenTable& t) {
 }
 
 /// I/O of a merge input's streams: units of 32 pages, as rodbctl reads,
-/// and a shallow prefetch. FileBackend allocates (depth + 1) units per
-/// stream and a merge opens one stream per input file, so the scan
-/// default depth would hold dozens of units per file for a consumer
+/// and a shallow prefetch. FileBackend sizes a stream's ring to
+/// min(depth, units in the range) + 1, and a merge streams whole files
+/// (one stream per input file), so at the scan default depth every
+/// input file longer than 48 units would hold 49 of them for a consumer
 /// that drains all of them at one pace.
 constexpr size_t kMergeUnitPages = 32;
 constexpr int kMergePrefetchDepth = 2;

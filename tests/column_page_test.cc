@@ -36,9 +36,9 @@ TEST(ColumnPageBuilderTest, FillsAndRoundTrips) {
   }
   EXPECT_EQ(static_cast<uint32_t>(n), builder.capacity());
   ASSERT_OK(builder.Finish(12));
+  ASSERT_OK_AND_ASSIGN(PageView view, PageView::Parse(builder.data(), 512));
   ASSERT_OK_AND_ASSIGN(ColumnPageReader reader,
-                       ColumnPageReader::Open(builder.data(), 512,
-                                              codec.get()));
+                       ColumnPageReader::Open(view, codec.get()));
   EXPECT_EQ(reader.count(), static_cast<uint32_t>(n));
   EXPECT_EQ(reader.page_id(), 12u);
   for (int i = 0; i < n; ++i) {
@@ -61,8 +61,7 @@ TEST(ColumnPageBuilderTest, ForDeltaStoresBaseInTrailer) {
   EXPECT_EQ(view.meta_count(), 1);
   EXPECT_EQ(view.meta(0).base, 7777);
   ASSERT_OK_AND_ASSIGN(ColumnPageReader reader,
-                       ColumnPageReader::Open(builder.data(), 256,
-                                              codec.get()));
+                       ColumnPageReader::Open(view, codec.get()));
   uint8_t out[4];
   for (int i = 0; i < 10; ++i) {
     reader.DecodeNext(out);
@@ -93,9 +92,9 @@ TEST(ColumnPageReaderTest, SkipValuesFixedWidth) {
     ASSERT_EQ(builder.Append(raw), AppendResult::kOk);
   }
   ASSERT_OK(builder.Finish(0));
+  ASSERT_OK_AND_ASSIGN(PageView view, PageView::Parse(builder.data(), 1024));
   ASSERT_OK_AND_ASSIGN(ColumnPageReader reader,
-                       ColumnPageReader::Open(builder.data(), 1024,
-                                              codec.get()));
+                       ColumnPageReader::Open(view, codec.get()));
   reader.SkipValues(150);
   uint8_t out[4];
   reader.DecodeNext(out);
@@ -123,9 +122,9 @@ TEST(ColumnPageReaderTest, SkipValuesForDeltaKeepsState) {
     replay += i % 3;
     values.push_back(replay);
   }
+  ASSERT_OK_AND_ASSIGN(PageView view, PageView::Parse(builder.data(), 1024));
   ASSERT_OK_AND_ASSIGN(ColumnPageReader reader,
-                       ColumnPageReader::Open(builder.data(), 1024,
-                                              codec.get()));
+                       ColumnPageReader::Open(view, codec.get()));
   reader.SkipValues(60);
   uint8_t out[4];
   reader.DecodeNext(out);
@@ -140,12 +139,11 @@ TEST(ColumnPageReaderTest, RejectsNullCodecAndMetaMismatch) {
   StoreLE32s(raw, 1);
   ASSERT_EQ(builder.Append(raw), AppendResult::kOk);
   ASSERT_OK(builder.Finish(0));
-  EXPECT_FALSE(ColumnPageReader::Open(builder.data(), 256, nullptr).ok());
+  ASSERT_OK_AND_ASSIGN(PageView view, PageView::Parse(builder.data(), 256));
+  EXPECT_FALSE(ColumnPageReader::Open(view, nullptr).ok());
   // A FOR codec expects one meta; the bit-packed page has none.
   auto fr = Codec(CodecSpec::For(8));
-  EXPECT_TRUE(ColumnPageReader::Open(builder.data(), 256, fr.get())
-                  .status()
-                  .IsCorruption());
+  EXPECT_TRUE(ColumnPageReader::Open(view, fr.get()).status().IsCorruption());
 }
 
 }  // namespace

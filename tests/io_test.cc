@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <cstdint>
 #include <numeric>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/file_util.h"
@@ -36,6 +39,25 @@ std::vector<uint8_t> Drain(SequentialStream* stream, size_t unit) {
   return out;
 }
 
+/// Every non-empty view a stream hands out, as (file_offset, bytes), in
+/// order; checks that the end is sticky.
+std::vector<std::pair<uint64_t, std::vector<uint8_t>>> Views(
+    SequentialStream* stream) {
+  std::vector<std::pair<uint64_t, std::vector<uint8_t>>> views;
+  while (true) {
+    auto view = stream->Next();
+    EXPECT_TRUE(view.ok()) << view.status().ToString();
+    if (!view.ok()) return views;
+    if (view->size == 0) break;
+    views.emplace_back(view->file_offset,
+                       std::vector<uint8_t>(view->data,
+                                            view->data + view->size));
+  }
+  auto again = stream->Next();
+  EXPECT_TRUE(again.ok() && again->size == 0);
+  return views;
+}
+
 class BackendTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(BackendTest, FileBackendDeliversExactBytes) {
@@ -60,6 +82,60 @@ TEST_P(BackendTest, FileBackendDeliversExactBytes) {
   EXPECT_EQ(stats.bytes_read, data.size());
   EXPECT_EQ(stats.requests, 3u);
   EXPECT_EQ(stats.files_opened, 1u);
+}
+
+// Ranges of at most one unit get the thread-free stream, longer ones the
+// prefetching ring; both must serve exactly what MemBackend serves.
+TEST_P(BackendTest, FileBackendRangesMatchMemBackend) {
+  const size_t kUnit = 4096;
+  const auto data = PatternBytes(10 * kUnit + 37);
+  const uint64_t size = data.size();
+  struct Shape {
+    const char* name;
+    bool empty_file;
+    uint64_t start;
+    uint64_t length;
+  };
+  const Shape shapes[] = {
+      {"empty file", true, 0, UINT64_MAX},
+      {"start at EOF", false, size, UINT64_MAX},
+      {"start past EOF", false, size + 3 * kUnit, 5},
+      {"length 0", false, 3 * kUnit + 11, 0},
+      {"length 1", false, 3 * kUnit + 11, 1},
+      {"one unit", false, 2 * kUnit + 100, kUnit},
+      {"one unit + 1 byte", false, 2 * kUnit + 100, kUnit + 1},
+      {"mid-file to EOF", false, 4 * kUnit + 999, UINT64_MAX},
+      {"mid-file 3 units", false, kUnit + 7, 3 * kUnit},
+  };
+  testing::TempDir dir;
+  const std::string path = dir.path() + "/ranges.bin";
+  for (const Shape& shape : shapes) {
+    SCOPED_TRACE(shape.name);
+    const std::vector<uint8_t> bytes =
+        shape.empty_file ? std::vector<uint8_t>() : data;
+    ASSERT_OK(
+        WriteStringToFile(path, std::string(bytes.begin(), bytes.end())));
+    FileBackend file_backend;
+    MemBackend mem_backend;
+    mem_backend.PutFile(path, bytes);
+    IoStats file_stats;
+    IoStats mem_stats;
+    IoOptions options;
+    options.read.io_unit_bytes = kUnit;
+    options.read.prefetch_depth = GetParam();
+    options.start_offset = shape.start;
+    options.length = shape.length;
+    options.read.stats = &file_stats;
+    ASSERT_OK_AND_ASSIGN(auto fs, file_backend.OpenStream(path, options));
+    options.read.stats = &mem_stats;
+    ASSERT_OK_AND_ASSIGN(auto ms, mem_backend.OpenStream(path, options));
+    EXPECT_EQ(fs->file_size(), ms->file_size());
+    EXPECT_EQ(Views(fs.get()), Views(ms.get()));
+    EXPECT_EQ(file_stats.bytes_read, mem_stats.bytes_read);
+    EXPECT_EQ(file_stats.requests, mem_stats.requests);
+    EXPECT_EQ(file_stats.files_opened, 1u);
+    EXPECT_EQ(mem_stats.files_opened, 1u);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Depths, BackendTest, ::testing::Values(1, 2, 8, 48));
@@ -101,11 +177,44 @@ TEST(FileBackendTest, EarlyDestructionIsClean) {
   IoOptions options;
   options.read.io_unit_bytes = 4096;
   options.read.prefetch_depth = 4;
+  // A one-unit range (no producer thread) and the whole file (producer
+  // mid-flight), each dropped unread and after one view: must close, and
+  // join, cleanly.
+  for (const uint64_t length : {uint64_t{4096}, uint64_t{UINT64_MAX}}) {
+    for (const bool read_one : {false, true}) {
+      options.length = length;
+      ASSERT_OK_AND_ASSIGN(auto stream, backend.OpenStream(path, options));
+      if (read_one) {
+        auto view = stream->Next();
+        ASSERT_OK(view.status());
+        EXPECT_EQ(view->size, 4096u);
+      }
+      stream.reset();
+    }
+  }
+}
+
+TEST(FileBackendTest, OneUnitStreamFailsWhenFileShrinks) {
+  testing::TempDir dir;
+  const std::string path = dir.path() + "/shrinks.bin";
+  const auto data = PatternBytes(3000);
+  ASSERT_OK(WriteStringToFile(path, std::string(data.begin(), data.end())));
+  FileBackend backend;
+  IoStats stats;
+  IoOptions options;
+  options.read.io_unit_bytes = 4096;
+  options.read.stats = &stats;
   ASSERT_OK_AND_ASSIGN(auto stream, backend.OpenStream(path, options));
-  auto view = stream->Next();
-  ASSERT_OK(view.status());
-  // Drop the stream with the producer mid-flight: must join cleanly.
-  stream.reset();
+  // The thread-free stream reads nothing until its first Next().
+  ASSERT_EQ(::truncate(path.c_str(), 1000), 0);
+  for (int call = 0; call < 2; ++call) {
+    auto view = stream->Next();
+    ASSERT_TRUE(view.status().IsIoError()) << view.status().ToString();
+    EXPECT_EQ(view.status().message(), "file shrank while reading");
+  }
+  EXPECT_EQ(stats.bytes_read, 0u);
+  EXPECT_EQ(stats.requests, 0u);
+  EXPECT_EQ(stats.files_opened, 1u);
 }
 
 TEST(MemBackendTest, ServesRegisteredFiles) {

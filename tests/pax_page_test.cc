@@ -102,9 +102,8 @@ TEST(PaxPageTest, RoundTripsTuples) {
   read_codecs.Add(CodecSpec::None(), 4);
   read_codecs.Add(CodecSpec::None(), 4);
   read_codecs.Add(CodecSpec::None(), 6);
-  ASSERT_OK_AND_ASSIGN(
-      PaxPageReader reader,
-      PaxPageReader::Open(builder->data(), 1024, &schema, read_codecs.raw));
+  ASSERT_OK_AND_ASSIGN(PaxPageReader reader,
+                       PaxPageReader::Open(view, &schema, read_codecs.raw));
   ASSERT_EQ(reader.count(), static_cast<uint32_t>(n));
   // Column-at-a-time read of attribute 1.
   for (int i = 0; i < n; ++i) {
@@ -143,9 +142,8 @@ TEST(PaxPageTest, CompressedAttributesWithMetas) {
   Codecs read;
   read.Add(CodecSpec::ForDelta(8), 4);
   read.Add(CodecSpec::BitPack(6), 4);
-  ASSERT_OK_AND_ASSIGN(
-      PaxPageReader reader,
-      PaxPageReader::Open(builder->data(), 512, &*schema, read.raw));
+  ASSERT_OK_AND_ASSIGN(PaxPageReader reader,
+                       PaxPageReader::Open(view, &*schema, read.raw));
   uint8_t out[4];
   for (int i = 0; i < 100; ++i) {
     reader.DecodeNext(0, out);
@@ -180,9 +178,9 @@ TEST(PaxPageTest, UnencodableValueRollsBackAllMinipages) {
   Codecs read;
   read.Add(CodecSpec::BitPack(8), 4);
   read.Add(CodecSpec::BitPack(4), 4);
-  ASSERT_OK_AND_ASSIGN(
-      PaxPageReader reader,
-      PaxPageReader::Open(builder->data(), 512, &*schema, read.raw));
+  ASSERT_OK_AND_ASSIGN(PageView view, PageView::Parse(builder->data(), 512));
+  ASSERT_OK_AND_ASSIGN(PaxPageReader reader,
+                       PaxPageReader::Open(view, &*schema, read.raw));
   uint8_t out[4];
   reader.DecodeNext(0, out);
   EXPECT_EQ(LoadLE32s(out), 200);
@@ -200,7 +198,9 @@ TEST(PaxPageReaderTest, RejectsNonPaxPagesAndMismatches) {
   std::vector<uint8_t> plain(1024, 0);
   PageWriter writer(plain.data(), plain.size(), 0);
   ASSERT_OK(writer.Finish(0, {}));
-  EXPECT_TRUE(PaxPageReader::Open(plain.data(), 1024, &schema, codecs.raw)
+  ASSERT_OK_AND_ASSIGN(PageView plain_view,
+                       PageView::Parse(plain.data(), 1024));
+  EXPECT_TRUE(PaxPageReader::Open(plain_view, &schema, codecs.raw)
                   .status()
                   .IsCorruption());
   // Codec count mismatch.
@@ -210,8 +210,8 @@ TEST(PaxPageReaderTest, RejectsNonPaxPagesAndMismatches) {
   Codecs two;
   two.Add(CodecSpec::None(), 4);
   two.Add(CodecSpec::None(), 4);
-  EXPECT_FALSE(
-      PaxPageReader::Open(builder->data(), 1024, &schema, two.raw).ok());
+  ASSERT_OK_AND_ASSIGN(PageView view, PageView::Parse(builder->data(), 1024));
+  EXPECT_FALSE(PaxPageReader::Open(view, &schema, two.raw).ok());
 }
 
 }  // namespace

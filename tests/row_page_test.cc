@@ -42,9 +42,9 @@ TEST(RowPageBuilderTest, UncompressedCapacityAndRoundTrip) {
   EXPECT_EQ(appended, 339);
   ASSERT_OK(builder.Finish(3));
 
-  ASSERT_OK_AND_ASSIGN(
-      RowPageReader reader,
-      RowPageReader::Open(builder.data(), 4096, &schema, nullptr));
+  ASSERT_OK_AND_ASSIGN(PageView view, PageView::Parse(builder.data(), 4096));
+  ASSERT_OK_AND_ASSIGN(RowPageReader reader,
+                       RowPageReader::Open(view, &schema, nullptr));
   EXPECT_EQ(reader.count(), 339u);
   EXPECT_EQ(reader.page_id(), 3u);
   EXPECT_FALSE(reader.compressed());
@@ -69,9 +69,9 @@ TEST(RowPageBuilderTest, ResetStartsFresh) {
   EXPECT_EQ(builder.count(), 0u);
   ASSERT_EQ(builder.Append(t.data()), AppendResult::kOk);
   ASSERT_OK(builder.Finish(0));
-  ASSERT_OK_AND_ASSIGN(
-      RowPageReader reader,
-      RowPageReader::Open(builder.data(), 512, &schema, nullptr));
+  ASSERT_OK_AND_ASSIGN(PageView view, PageView::Parse(builder.data(), 512));
+  ASSERT_OK_AND_ASSIGN(RowPageReader reader,
+                       RowPageReader::Open(view, &schema, nullptr));
   EXPECT_EQ(reader.count(), 1u);
 }
 
@@ -113,9 +113,9 @@ TEST(RowPageBuilderTest, CompressedRoundTrip) {
     rows.emplace_back(key, qty);
   }
   ASSERT_OK(builder.Finish(9));
-  ASSERT_OK_AND_ASSIGN(
-      RowPageReader reader,
-      RowPageReader::Open(builder.data(), 1024, &fx.schema, fx.codec.get()));
+  ASSERT_OK_AND_ASSIGN(PageView view, PageView::Parse(builder.data(), 1024));
+  ASSERT_OK_AND_ASSIGN(RowPageReader reader,
+                       RowPageReader::Open(view, &fx.schema, fx.codec.get()));
   EXPECT_EQ(reader.count(), 100u);
   EXPECT_TRUE(reader.compressed());
   for (const auto& [k, q] : rows) {
@@ -153,9 +153,9 @@ TEST(RowPageBuilderTest, PageFullMidTupleRollsBack) {
   }
   ASSERT_GT(appended, 0);
   ASSERT_OK(builder.Finish(0));
-  ASSERT_OK_AND_ASSIGN(
-      RowPageReader reader,
-      RowPageReader::Open(builder.data(), 64, &fx.schema, fx.codec.get()));
+  ASSERT_OK_AND_ASSIGN(PageView view, PageView::Parse(builder.data(), 64));
+  ASSERT_OK_AND_ASSIGN(RowPageReader reader,
+                       RowPageReader::Open(view, &fx.schema, fx.codec.get()));
   EXPECT_EQ(reader.count(), static_cast<uint32_t>(appended));
   uint8_t out[8];
   for (int i = 0; i < appended; ++i) {
@@ -169,10 +169,9 @@ TEST(RowPageReaderTest, OpenValidatesCodecPresence) {
   RowPageBuilder builder(&schema, nullptr, 512);
   ASSERT_OK(builder.Finish(0));
   CompressedFixture fx;
-  EXPECT_FALSE(
-      RowPageReader::Open(builder.data(), 512, &schema, fx.codec.get()).ok());
-  EXPECT_FALSE(
-      RowPageReader::Open(builder.data(), 512, nullptr, nullptr).ok());
+  ASSERT_OK_AND_ASSIGN(PageView view, PageView::Parse(builder.data(), 512));
+  EXPECT_FALSE(RowPageReader::Open(view, &schema, fx.codec.get()).ok());
+  EXPECT_FALSE(RowPageReader::Open(view, nullptr, nullptr).ok());
 }
 
 TEST(RowPageReaderTest, CorruptCountRejected) {
@@ -183,9 +182,9 @@ TEST(RowPageReaderTest, CorruptCountRejected) {
   ASSERT_OK(builder.Finish(0));
   std::vector<uint8_t> page(builder.data(), builder.data() + 512);
   StoreLE32(page.data(), 100000);  // count overflows payload
-  EXPECT_TRUE(RowPageReader::Open(page.data(), 512, &schema, nullptr)
-                  .status()
-                  .IsCorruption());
+  ASSERT_OK_AND_ASSIGN(PageView view, PageView::Parse(page.data(), 512));
+  EXPECT_TRUE(
+      RowPageReader::Open(view, &schema, nullptr).status().IsCorruption());
 }
 
 }  // namespace

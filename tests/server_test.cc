@@ -10,19 +10,24 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <iterator>
 #include <condition_variable>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "common/bytes.h"
+#include "engine/executor.h"
+#include "engine/query_context.h"
 #include "scan_test_util.h"
 #include "server/circulating_scan.h"
 #include "server/client.h"
 #include "server/query_engine.h"
+#include "server/query_request.h"
 #include "server/server.h"
 #include "storage/database.h"
 #include "test_util.h"
@@ -881,6 +886,64 @@ TEST_F(ServerTest, StopRacingInFlightIngestJoinsCleanly) {
     stopper_b.join();
     EXPECT_EQ(server.state(), ServerState::kStopped);
     ingester.join();
+  }
+}
+
+// Pins ResultFold's definitions, whatever way it computes them:
+// output_checksum is FNV-1a chained over every output byte in delivery
+// order (across blocks), row_digest the wrapping sum of each tuple's own
+// FNV-1a hash, and the first limit_rows tuples (all when 0) are collected.
+TEST(ResultFoldTest, ChecksumDigestAndCollectedRows) {
+  struct Collect {
+    bool on;
+    uint64_t limit;
+  };
+  for (const int width : {4, 12, 150}) {
+    for (const uint32_t count : {1u, 100u, 1024u}) {
+      for (const Collect collect :
+           {Collect{false, 0}, Collect{true, 0}, Collect{true, 73}}) {
+        SCOPED_TRACE("width " + std::to_string(width) + " count " +
+                     std::to_string(count) + " collect " +
+                     std::to_string(collect.on) + " limit " +
+                     std::to_string(collect.limit));
+        const size_t w = static_cast<size_t>(width);
+        std::vector<uint8_t> tuples(w * count);
+        for (size_t i = 0; i < tuples.size(); ++i) {
+          tuples[i] = static_cast<uint8_t>(i * 131 + (i >> 7));
+        }
+        QueryRequest request;
+        request.collect_rows = collect.on;
+        request.limit_rows = collect.limit;
+        QueryContext ctx;
+        QueryResult result;
+        result.row_layout = BlockLayout::FromWidths({width});
+        ResultFold fold(request, &ctx, &result);
+        // Two blocks where there are two tuples: the checksum chains
+        // across the block boundary.
+        const uint32_t first = count / 2;
+        if (first > 0) ASSERT_OK(fold.Add(tuples.data(), first));
+        ASSERT_OK(fold.Add(tuples.data() + first * w, count - first));
+
+        uint64_t digest = 0;
+        for (uint32_t i = 0; i < count; ++i) {
+          digest += Fnv1aExtend(kFnv1aSeed, tuples.data() + i * w, w);
+        }
+        const uint64_t collected =
+            !collect.on ? 0
+            : collect.limit == 0
+                ? count
+                : std::min<uint64_t>(count, collect.limit);
+        EXPECT_EQ(result.output_checksum,
+                  Fnv1aExtend(kFnv1aSeed, tuples.data(), tuples.size()));
+        EXPECT_EQ(result.row_digest, digest);
+        EXPECT_EQ(result.rows, count);
+        EXPECT_EQ(result.blocks, first > 0 ? 2u : 1u);
+        EXPECT_EQ(result.rows_collected, collected);
+        EXPECT_EQ(result.row_data,
+                  std::vector<uint8_t>(tuples.begin(),
+                                       tuples.begin() + collected * w));
+      }
+    }
   }
 }
 

@@ -32,7 +32,9 @@ FUZZ_ITERATIONS="${2:-200}"
 # shutdown and socket connection threads. The ingest suites race
 # appends/freezes/background merges against epoch-pinned snapshot
 # acquisition and lease retirement (snapshot_consistency_test's
-# threaded schedules, ingest_fuzz_test's lifecycle sweeps).
+# threaded schedules, ingest_fuzz_test's lifecycle sweeps). io_test
+# drives FileBackend's producer-thread ring over every range shape and
+# depth, and drops streams with the producer mid-flight.
 # crash_recovery_test stays off this list on purpose: it forks and
 # SIGKILLs children, which TSan's runtime can't follow; the ASan leg's
 # full ctest covers it, and server_test races the drain/stop paths
@@ -41,7 +43,7 @@ TSAN_TESTS=(parallel_executor_test scanner_equivalence_test
             block_cache_test fuzz_test obs_test
             resilience_test retry_backend_test admission_test
             robustness_sweep_test zone_map_test server_test
-            snapshot_consistency_test ingest_fuzz_test)
+            snapshot_consistency_test ingest_fuzz_test io_test)
 
 status=0
 

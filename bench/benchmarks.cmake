@@ -56,6 +56,14 @@ add_test(NAME ingest_merge_smoke COMMAND ingest_merge)
 set_tests_properties(ingest_merge_smoke PROPERTIES ENVIRONMENT
   "RODB_BENCH_TUPLES=20000")
 
+# Block-cache smoke: cold, warm and half-warm scans of row and column
+# LINEITEM (the bench aborts if a pass's checksum differs from the cold
+# one, the warm pass reads the backend, or the half-warm pass's backend
+# and cache bytes do not add up to the cold pass's).
+add_test(NAME block_cache_smoke COMMAND block_cache_bench)
+set_tests_properties(block_cache_smoke PROPERTIES ENVIRONMENT
+  "RODB_BENCH_TUPLES=20000;RODB_BENCH_DIR=${CMAKE_BINARY_DIR}/block_cache_smoke")
+
 # Golden check over the figure benches' stdout (bench/golden/).
 add_test(NAME figure_golden_test
   COMMAND ${CMAKE_COMMAND}

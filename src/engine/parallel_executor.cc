@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <latch>
 #include <numeric>
 #include <utility>
@@ -12,6 +13,7 @@
 #include "engine/exec_stats.h"
 #include "engine/open_scanner.h"
 #include "engine/zone_pruner.h"
+#include "io/unit_buffers.h"
 #include "obs/metrics.h"
 #include "storage/table_files.h"
 
@@ -19,18 +21,48 @@ namespace rodb {
 
 namespace {
 
+/// Morsel output is buffered in chunks of one default I/O unit, the size
+/// the unit free list recycles most.
+constexpr size_t kOutputChunkBytes = ReadOptions{}.io_unit_bytes;
+
 struct WorkerState {
   ExecStats stats;
   Status status = Status::OK();
-  /// The worker's raw output tuple bytes, in production order (FNV-1a is
-  /// chained, not combinable, so the merge re-hashes these buffers in
-  /// morsel order).
-  std::vector<uint8_t> bytes;
-  /// Budget holds backing `bytes` (one per emitted block); released when
-  /// the worker is destroyed, after the merge has consumed the buffers.
+  /// The worker's raw output tuple bytes, in production order, in
+  /// kOutputChunkBytes chunks from the unit free list; every chunk but
+  /// the last is full (FNV-1a is chained, not combinable, so the merge
+  /// re-hashes the chunks in morsel order).
+  std::vector<UnitBuffer> chunks;
+  size_t last_chunk_bytes = 0;
+  /// Budget holds backing `chunks` (one per emitted block); released when
+  /// the worker is destroyed, after the merge has consumed the chunks.
   std::vector<MemoryReservation> reservations;
   uint64_t rows = 0;
   uint64_t blocks = 0;
+
+  void Append(const uint8_t* data, size_t size) {
+    while (size > 0) {
+      if (chunks.empty() || last_chunk_bytes == kOutputChunkBytes) {
+        chunks.push_back(AcquireUnitBuffer(kOutputChunkBytes));
+        last_chunk_bytes = 0;
+      }
+      const size_t take = std::min(size, kOutputChunkBytes - last_chunk_bytes);
+      std::memcpy(chunks.back().get() + last_chunk_bytes, data, take);
+      last_chunk_bytes += take;
+      data += take;
+      size -= take;
+    }
+  }
+
+  /// Chains the buffered output onto `hash`.
+  uint64_t HashInto(uint64_t hash) const {
+    for (size_t i = 0; i < chunks.size(); ++i) {
+      const size_t used =
+          i + 1 == chunks.size() ? last_chunk_bytes : kOutputChunkBytes;
+      hash = Fnv1aExtend(hash, chunks[i].get(), used);
+    }
+    return hash;
+  }
 };
 
 /// One worker: drain its morsel's scan, buffering the output bytes into
@@ -41,14 +73,14 @@ Status DriveWorker(Operator* root, WorkerState* w) {
   return Drain(root, &w->stats, [&](const TupleBlock& block) -> Status {
     w->blocks += 1;
     w->rows += block.size();
-    const size_t chunk = static_cast<size_t>(block.size()) * width;
+    const size_t bytes = static_cast<size_t>(block.size()) * width;
     if (ctx != nullptr) {
       // The buffered output bytes are this worker's working set; a
       // budget overflow fails the query here instead of OOM-ing.
-      RODB_ASSIGN_OR_RETURN(MemoryReservation r, ctx->ReserveMemory(chunk));
+      RODB_ASSIGN_OR_RETURN(MemoryReservation r, ctx->ReserveMemory(bytes));
       w->reservations.push_back(std::move(r));
     }
-    w->bytes.insert(w->bytes.end(), block.tuple(0), block.tuple(0) + chunk);
+    w->Append(block.tuple(0), bytes);
     return Status::OK();
   });
 }
@@ -300,7 +332,7 @@ Result<ParallelResult> ParallelExecute(const ParallelScanPlan& plan,
   for (const WorkerState& w : workers) {
     out.result.rows += w.rows;
     out.result.blocks += w.blocks;
-    checksum = Fnv1aExtend(checksum, w.bytes.data(), w.bytes.size());
+    checksum = w.HashInto(checksum);
     out.counters += w.stats.counters();
   }
   out.result.output_checksum = checksum;

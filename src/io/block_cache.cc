@@ -75,6 +75,14 @@ BlockCache::BlockHandle BlockCache::Lookup(uint64_t file_id, uint64_t offset,
   return nullptr;
 }
 
+bool BlockCache::Contains(uint64_t file_id, uint64_t offset,
+                          size_t min_size) {
+  Shard& shard = ShardFor(file_id, offset);
+  std::lock_guard<std::mutex> lock(shard.mu);
+  auto it = shard.index.find(Key{file_id, offset});
+  return it != shard.index.end() && it->second->block->size() >= min_size;
+}
+
 void BlockCache::Insert(uint64_t file_id, uint64_t offset, BlockHandle block) {
   if (block == nullptr) return;
   const uint64_t size = block->size();
@@ -171,9 +179,11 @@ uint64_t BlockCache::ExternalPins() const {
 
 /// The stream side of the decorator. Serves one logical I/O unit per
 /// Next(): a cache hit pins the cached block and hands out a view into
-/// it; a miss (re)opens the inner stream at the current offset, copies
-/// exactly one unit's worth of inner views into a private buffer,
-/// caches the fully assembled unit, and serves it. Short assemblies
+/// it; a miss assembles exactly one unit from the inner stream into a
+/// unit free-list buffer, caches the fully assembled unit, and serves
+/// it. The inner stream covers the run of units the cache lacked when it
+/// was opened, so after it ends, or after hits moved pos_ past it, the
+/// next miss reopens it over the next such run. Short assemblies
 /// (truncation below us) are served but never cached.
 class CachingBackend::CachingStream final : public SequentialStream {
  public:
@@ -188,12 +198,11 @@ class CachingBackend::CachingStream final : public SequentialStream {
                                                : pos_ + options.length),
         unit_(options.read.io_unit_bytes), stats_(options.read.stats),
         inner_(std::move(inner_stream)), inner_next_offset_(pos_),
-        counted_open_(inner_ != nullptr) {}
+        inner_end_(end_), counted_open_(inner_ != nullptr) {}
 
   Result<IoView> Next() override {
     if (pos_ >= end_) return IoView{nullptr, 0, end_};
-    const size_t want = static_cast<size_t>(
-        std::min<uint64_t>(unit_, end_ - pos_));
+    const size_t want = UnitAt(pos_);
     handle_ = cache_->Lookup(options_.file_id, pos_, want);
     if (handle_ != nullptr) {
       if (stats_ != nullptr) {
@@ -207,12 +216,13 @@ class CachingBackend::CachingStream final : public SequentialStream {
     if (stats_ != nullptr) stats_->cache_misses += 1;
     // Miss: assemble the unit from the inner stream, which counts its
     // own bytes_read/requests into the same stats sink.
-    if (inner_ == nullptr || inner_next_offset_ != pos_) {
+    if (inner_ == nullptr || inner_next_offset_ != pos_ ||
+        pos_ >= inner_end_) {
       RODB_RETURN_IF_ERROR(ReopenInnerAt(pos_));
     }
-    std::vector<uint8_t> assembled;
-    assembled.reserve(want);
-    while (assembled.size() < want) {
+    UnitBuffer buffer = AcquireUnitBuffer(want);
+    size_t got = 0;
+    while (got < want) {
       auto view_or = inner_->Next();
       if (!view_or.ok()) {
         inner_.reset();  // position unknown after an error
@@ -220,34 +230,52 @@ class CachingBackend::CachingStream final : public SequentialStream {
       }
       const IoView& v = view_or.value();
       if (v.size == 0) break;  // EOF below us (truncated file)
-      assembled.insert(assembled.end(), v.data, v.data + v.size);
+      if (v.size > want - got) {
+        inner_.reset();
+        return Status::Internal("inner stream overran its I/O unit");
+      }
+      std::memcpy(buffer.get() + got, v.data, v.size);
+      got += v.size;
     }
-    inner_next_offset_ = pos_ + assembled.size();
-    if (assembled.empty()) return IoView{nullptr, 0, pos_};
-    auto block = std::make_shared<const std::vector<uint8_t>>(
-        std::move(assembled));
-    if (block->size() == want) {
-      cache_->Insert(options_.file_id, pos_, block);
-    }
-    handle_ = block;
-    IoView view{handle_->data(), handle_->size(), pos_};
-    pos_ += view.size;
+    inner_next_offset_ = pos_ + got;
+    if (got == 0) return IoView{nullptr, 0, pos_};
+    auto block = std::make_shared<const CachedBlock>(std::move(buffer), got);
+    if (got == want) cache_->Insert(options_.file_id, pos_, block);
+    handle_ = std::move(block);
+    IoView view{handle_->data(), got, pos_};
+    pos_ += got;
     return view;
   }
 
   uint64_t file_size() const override { return file_size_; }
 
  private:
+  /// Bytes of the logical unit at `offset` (the last one may be short).
+  size_t UnitAt(uint64_t offset) const {
+    return static_cast<size_t>(std::min<uint64_t>(unit_, end_ - offset));
+  }
+
+  /// Opens the inner stream at `offset` (a unit that just missed) over
+  /// the run of units the cache lacks from there, at most prefetch_depth
+  /// units long.
   Status ReopenInnerAt(uint64_t offset) {
+    const int depth = std::max(1, options_.read.prefetch_depth);
+    uint64_t run_end = offset + UnitAt(offset);
+    for (int units = 1; units < depth && run_end < end_; ++units) {
+      const size_t size = UnitAt(run_end);
+      if (cache_->Contains(options_.file_id, run_end, size)) break;
+      run_end += size;
+    }
     IoOptions inner_options = options_;
     inner_options.start_offset = offset;
-    inner_options.length = end_ - offset;
+    inner_options.length = run_end - offset;
     inner_options.read.cache = nullptr;  // we are the caching layer
+    inner_.reset();  // release the old ring before opening the next
     RODB_ASSIGN_OR_RETURN(inner_,
                           inner_backend_->OpenStream(path_, inner_options));
     // The inner backend counts files_opened on every OpenStream, but a
-    // reopen (hits advanced pos_ past the inner cursor on a partially
-    // warm cache) is still the same logical file: compensate so one
+    // reopen (hits advanced pos_ past the inner cursor, or the previous
+    // miss run ended) is still the same logical file: compensate so one
     // CachingStream contributes at most one open.
     if (counted_open_) {
       if (stats_ != nullptr && stats_->files_opened > 0) {
@@ -257,6 +285,7 @@ class CachingBackend::CachingStream final : public SequentialStream {
       counted_open_ = true;
     }
     inner_next_offset_ = offset;
+    inner_end_ = run_end;
     return Status::OK();
   }
 
@@ -272,6 +301,7 @@ class CachingBackend::CachingStream final : public SequentialStream {
 
   std::unique_ptr<SequentialStream> inner_;
   uint64_t inner_next_offset_;
+  uint64_t inner_end_;  ///< end of the inner stream's range
   /// Whether this stream already contributed one files_opened to the
   /// stats sink (reopens of the same logical file must not count again).
   bool counted_open_;

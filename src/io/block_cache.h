@@ -9,11 +9,28 @@
 #include <optional>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "io/io.h"
+#include "io/unit_buffers.h"
 
 namespace rodb {
+
+/// One cached I/O unit: a unit free-list buffer and the bytes it holds.
+/// Destroying the block returns its buffer to the free list.
+class CachedBlock {
+ public:
+  CachedBlock(UnitBuffer buffer, size_t size)
+      : buffer_(std::move(buffer)), size_(size) {}
+
+  const uint8_t* data() const { return buffer_.get(); }
+  size_t size() const { return size_; }
+
+ private:
+  UnitBuffer buffer_;
+  size_t size_;
+};
 
 /// Sharded, capacity-bounded LRU cache of I/O units, keyed by
 /// (file_id, file_offset). The storage-manager-level cache the ROADMAP's
@@ -22,10 +39,11 @@ namespace rodb {
 /// the same queries over the same hot tables re-reads identical blocks,
 /// and those re-reads should be memory traffic, not disk traffic.
 ///
-/// Blocks are immutable byte vectors held by shared_ptr, so a lookup
+/// Blocks are immutable CachedBlocks held by shared_ptr, so a lookup
 /// pins the block for as long as the caller holds the handle: eviction
 /// only drops the cache's own reference and can never free memory out
-/// from under an in-flight reader. Keys are exact offsets -- the cache
+/// from under an in-flight reader. The last reference returns the
+/// block's buffer to the unit free list. Keys are exact offsets -- the cache
 /// does not try to stitch overlapping ranges -- but a lookup may be
 /// served by a cached block *larger* than the requested size (the caller
 /// reads a prefix), which is what happens when scans with different
@@ -37,7 +55,7 @@ namespace rodb {
 /// lock.
 class BlockCache {
  public:
-  using BlockHandle = std::shared_ptr<const std::vector<uint8_t>>;
+  using BlockHandle = std::shared_ptr<const CachedBlock>;
 
   /// Counter snapshot (all totals since construction or Clear()).
   struct Stats {
@@ -66,6 +84,11 @@ class BlockCache {
   /// least `min_size` bytes, moving it to the front of its shard's LRU
   /// list; nullptr otherwise. Counts exactly one hit or miss.
   BlockHandle Lookup(uint64_t file_id, uint64_t offset, size_t min_size);
+
+  /// Whether Lookup(file_id, offset, min_size) would hit right now.
+  /// Counts nothing and leaves the LRU order alone: CachingStream asks
+  /// it to size a read-ahead to the units the cache lacks.
+  bool Contains(uint64_t file_id, uint64_t offset, size_t min_size);
 
   /// Caches `block` under (file_id, offset), replacing any existing
   /// entry, then evicts least-recently-used blocks until the shard fits
@@ -160,7 +183,12 @@ class BlockCache {
 ///    nothing.
 ///  - The inner stream is opened lazily and only for misses: a fully
 ///    warm scan of a known file performs zero backend opens and zero
-///    backend reads.
+///    backend reads. A miss opens it over the run of units the cache
+///    lacks from there on (at most prefetch_depth units), so read-ahead
+///    never fetches a unit the next hit would serve. The one exception
+///    is the eager open that learns a file's size on a cold registry:
+///    it covers the whole range, so a cold scan stays one prefetching
+///    stream.
 ///
 /// Stats: cache-served units count IoStats::{bytes_from_cache,
 /// cache_hits}; backend-served units are counted by the inner stream

@@ -9,7 +9,9 @@
 #include <deque>
 #include <mutex>
 #include <thread>
+#include <vector>
 
+#include "io/unit_buffers.h"
 #include "obs/metrics.h"
 
 namespace rodb {
@@ -43,9 +45,12 @@ ssize_t PreadFully(int fd, uint8_t* buf, size_t want, uint64_t offset) {
 
 /// Prefetching stream over a POSIX fd. A producer thread preads
 /// sequentially into a bounded ring; Next() hands units to the consumer in
-/// file order. The ring holds `credit` + 1 buffers: `credit` in flight
-/// plus the one the consumer is currently holding, where `credit` is the
-/// prefetch depth capped by the units the range holds.
+/// file order. The ring has `credit` + 1 slots: `credit` in flight plus
+/// the one the consumer is currently holding, where `credit` is the
+/// prefetch depth capped by the units the range holds. Each slot the
+/// range reaches holds a one-unit buffer from the unit free list; a range
+/// of at most `credit` units never wraps, so its last slot stays unused
+/// and gets no buffer.
 class AsyncFileStream final : public SequentialStream {
  public:
   AsyncFileStream(int fd, uint64_t file_size, uint64_t range_start,
@@ -53,10 +58,14 @@ class AsyncFileStream final : public SequentialStream {
                   IoStats* stats)
       : fd_(fd), file_size_(file_size), range_start_(range_start),
         range_end_(range_end), unit_(unit), slots_(credit + 1),
-        stats_(stats),
-        // Default-initialised: every byte handed out was written by pread.
-        ring_(new uint8_t[slots_ * unit_]),
-        free_slots_(credit) {
+        stats_(stats), free_slots_(credit) {
+    const uint64_t units = (range_end_ - range_start_ + unit_ - 1) / unit_;
+    const size_t buffers =
+        static_cast<size_t>(std::min<uint64_t>(slots_, units));
+    ring_.reserve(buffers);
+    for (size_t i = 0; i < buffers; ++i) {
+      ring_.push_back(AcquireUnitBuffer(unit_));
+    }
     producer_ = std::thread([this] { ProducerLoop(); });
   }
 
@@ -111,7 +120,7 @@ class AsyncFileStream final : public SequentialStream {
     uint64_t offset;
   };
 
-  uint8_t* Slot(size_t slot) const { return ring_.get() + slot * unit_; }
+  uint8_t* Slot(size_t slot) const { return ring_[slot].get(); }
 
   void ProducerLoop() {
     uint64_t offset = range_start_;
@@ -159,7 +168,7 @@ class AsyncFileStream final : public SequentialStream {
   const size_t unit_;
   const size_t slots_;
   IoStats* const stats_;
-  const std::unique_ptr<uint8_t[]> ring_;
+  std::vector<UnitBuffer> ring_;  ///< filled before the producer starts
 
   std::mutex mu_;
   std::condition_variable cv_producer_;
@@ -175,15 +184,18 @@ class AsyncFileStream final : public SequentialStream {
 
 /// A range of at most one I/O unit has nothing to prefetch ahead of its
 /// first request, so its stream runs no thread and holds no ring: the
-/// first Next() preads the whole range (the consumer waits on that read,
-/// which counts as one prefetch stall) and every later call returns the
-/// end view, or the read's error again.
+/// first Next() preads the whole range into a one-unit buffer from the
+/// unit free list (the consumer waits on that read, which counts as one
+/// prefetch stall) and every later call returns the end view, or the
+/// read's error again. A whole unit, not the range's size, so short runs
+/// share the ring buffers' free list instead of each size keeping its
+/// own.
 class OneUnitFileStream final : public SequentialStream {
  public:
   OneUnitFileStream(int fd, uint64_t file_size, uint64_t range_start,
-                    uint64_t range_end, IoStats* stats)
+                    uint64_t range_end, size_t unit, IoStats* stats)
       : fd_(fd), file_size_(file_size), range_start_(range_start),
-        range_end_(range_end), stats_(stats) {}
+        range_end_(range_end), unit_(unit), stats_(stats) {}
 
   OneUnitFileStream(const OneUnitFileStream&) = delete;
   OneUnitFileStream& operator=(const OneUnitFileStream&) = delete;
@@ -199,7 +211,7 @@ class OneUnitFileStream final : public SequentialStream {
       return IoView{nullptr, 0, file_size_};  // EOF
     }
     const size_t want = static_cast<size_t>(range_end_ - range_start_);
-    buffer_.reset(new uint8_t[want]);
+    buffer_ = AcquireUnitBuffer(unit_);
     const ssize_t got = PreadFully(fd_, buffer_.get(), want, range_start_);
     if (got < 0) {
       error_ = Status::IoError("pread failed");
@@ -223,8 +235,9 @@ class OneUnitFileStream final : public SequentialStream {
   const uint64_t file_size_;
   const uint64_t range_start_;
   const uint64_t range_end_;
+  const size_t unit_;
   IoStats* const stats_;
-  std::unique_ptr<uint8_t[]> buffer_;
+  UnitBuffer buffer_;
   bool read_ = false;
   Status error_;
 };
@@ -254,7 +267,7 @@ Result<std::unique_ptr<SequentialStream>> FileBackend::OpenStream(
   const uint64_t units = (end - start + unit - 1) / unit;
   if (units <= 1) {
     return std::unique_ptr<SequentialStream>(
-        new OneUnitFileStream(fd, file_size, start, end, stats));
+        new OneUnitFileStream(fd, file_size, start, end, unit, stats));
   }
   // Sec. 2.2.3: at most prefetch_depth units in flight ahead of the
   // consumer -- and a range never needs more than it holds.

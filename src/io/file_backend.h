@@ -14,9 +14,11 @@ namespace rodb {
 /// (the query engine) drains them in order. The ring is sized to the
 /// range -- min(prefetch_depth, units the range holds) + 1 buffers, never
 /// zero-filled -- and a range of at most one I/O unit gets a stream with
-/// no thread and no ring, which preads the unit on its first Next(). As
-/// in the paper there is no buffer pool: the stream hands the query a
-/// pointer into its buffer.
+/// no thread and no ring, which preads the unit on its first Next().
+/// Ring and one-unit buffers come from the unit free list
+/// (io/unit_buffers.h), so a closed stream's memory serves the next
+/// stream's. As in the paper there is no page caching in this layer: the
+/// stream hands the query a pointer into its buffer.
 class FileBackend : public IoBackend {
  public:
   Result<std::unique_ptr<SequentialStream>> OpenStream(

@@ -78,18 +78,17 @@ Result<RowPageReader> RowPageReader::Open(const PageView& view,
     return Status::InvalidArgument(
         "RowPageReader codec presence must match schema compression");
   }
-  if (codec != nullptr) {
-    if (view.meta_count() != codec->page_meta_count()) {
-      return Status::Corruption("row page meta count mismatch");
-    }
-    codec->BeginDecode(view.metas());
-  } else {
-    const size_t need = static_cast<size_t>(view.count()) *
-                        static_cast<size_t>(schema->padded_tuple_width()) * 8;
-    if (need > view.payload_bits()) {
-      return Status::Corruption("row page count overflows payload");
-    }
+  if (codec != nullptr && view.meta_count() != codec->page_meta_count()) {
+    return Status::Corruption("row page meta count mismatch");
   }
+  // Every tuple, encoded or not, occupies a fixed width on the page.
+  const int width = codec != nullptr ? codec->encoded_tuple_bytes()
+                                     : schema->padded_tuple_width();
+  if (static_cast<uint64_t>(view.count()) * static_cast<uint64_t>(width) * 8 >
+      view.payload_bits()) {
+    return Status::Corruption("row page count overflows payload");
+  }
+  if (codec != nullptr) codec->BeginDecode(view.metas());
   return RowPageReader(view, schema, codec);
 }
 

@@ -11,6 +11,7 @@
 #include <atomic>
 #include <cstring>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/bytes.h"
@@ -18,6 +19,7 @@
 #include "engine/open_scanner.h"
 #include "io/fault_injection.h"
 #include "io/file_backend.h"
+#include "io/mem_backend.h"
 #include "scan_test_util.h"
 
 namespace rodb {
@@ -28,7 +30,9 @@ using rodb::testing::MakeScanner;
 using rodb::testing::TempDir;
 
 BlockCache::BlockHandle MakeBlock(size_t size, uint8_t fill) {
-  return std::make_shared<const std::vector<uint8_t>>(size, fill);
+  UnitBuffer buffer = AcquireUnitBuffer(size);
+  std::memset(buffer.get(), fill, size);
+  return std::make_shared<const CachedBlock>(std::move(buffer), size);
 }
 
 TEST(BlockCacheTest, LookupMissThenHit) {
@@ -38,7 +42,7 @@ TEST(BlockCacheTest, LookupMissThenHit) {
   auto hit = cache.Lookup(1, 0, 100);
   ASSERT_NE(hit, nullptr);
   EXPECT_EQ(hit->size(), 100u);
-  EXPECT_EQ((*hit)[0], 0xab);
+  EXPECT_EQ(hit->data()[0], 0xab);
   // Same offset, different file: independent key.
   EXPECT_EQ(cache.Lookup(2, 0, 1), nullptr);
   const auto stats = cache.stats();
@@ -88,7 +92,7 @@ TEST(BlockCacheTest, ReplacementKeepsByteAccounting) {
   EXPECT_EQ(stats.inserted_bytes, 350u);
   auto hit = cache.Lookup(7, 42, 250);
   ASSERT_NE(hit, nullptr);
-  EXPECT_EQ((*hit)[0], 1);
+  EXPECT_EQ(hit->data()[0], 1);
 }
 
 TEST(BlockCacheTest, OversizedBlockRefused) {
@@ -109,7 +113,7 @@ TEST(BlockCacheTest, EvictionCannotFreePinnedBlock) {
   EXPECT_EQ(cache.Lookup(1, 0, 100), nullptr);
   // The handle still owns the bytes.
   EXPECT_EQ(pinned->size(), 100u);
-  EXPECT_EQ((*pinned)[99], 0xcd);
+  EXPECT_EQ(pinned->data()[99], 0xcd);
 }
 
 TEST(BlockCacheTest, ShardingSpreadsKeysAndClearResets) {
@@ -147,7 +151,7 @@ TEST(BlockCacheTest, ConcurrentReadersAndWriters) {
                                 << 12;
         auto handle = cache.Lookup(file, offset, 256);
         if (handle != nullptr) {
-          hits += (*handle)[0];  // touch the pinned bytes
+          hits += handle->data()[0];  // touch the pinned bytes
         } else {
           cache.Insert(file, offset, MakeBlock(256, 1));
         }
@@ -162,6 +166,82 @@ TEST(BlockCacheTest, ConcurrentReadersAndWriters) {
   EXPECT_EQ(stats.hits + stats.misses,
             static_cast<uint64_t>(kThreads) * kOpsPerThread);
   EXPECT_LE(stats.bytes_in_use, cache.capacity_bytes());
+}
+
+// ---------------------------------------------------------------------------
+// CachingStream read-ahead
+
+/// Passes streams through, logging the range of every OpenStream.
+class RecordingBackend : public IoBackend {
+ public:
+  explicit RecordingBackend(IoBackend* inner) : inner_(inner) {}
+
+  Result<std::unique_ptr<SequentialStream>> OpenStream(
+      const std::string& path, const IoOptions& options) override {
+    ranges.emplace_back(options.start_offset, options.length);
+    return inner_->OpenStream(path, options);
+  }
+
+  std::vector<std::pair<uint64_t, uint64_t>> ranges;  ///< (start, length)
+
+ private:
+  IoBackend* inner_;
+};
+
+TEST(CachingStreamTest, MissesReadAheadOnlyWhatTheCacheLacks) {
+  // A miss opens the inner stream over the run of units the cache lacks,
+  // at most prefetch_depth long, never over the rest of the range: with
+  // every other unit cached, the backend is asked for exactly the missed
+  // units. With none cached (size known, so no eager whole-range open),
+  // the bounded inner streams follow one another to the end.
+  constexpr size_t kUnit = 4096;
+  constexpr uint64_t kUnits = 10;
+  constexpr uint64_t kFileId = 77;
+  std::vector<uint8_t> data(kUnits * kUnit);
+  for (size_t i = 0; i < data.size(); ++i) {
+    data[i] = static_cast<uint8_t>(i * 131 + (i >> 12));
+  }
+  MemBackend mem;
+  mem.PutFile("f", data);
+  for (const bool half_warm : {true, false}) {
+    SCOPED_TRACE(half_warm ? "every other unit cached" : "none cached");
+    BlockCache cache(1 << 20, 4);
+    cache.RecordFileSize(kFileId, data.size());
+    for (uint64_t u = 0; half_warm && u < kUnits; u += 2) {
+      UnitBuffer buffer = AcquireUnitBuffer(kUnit);
+      std::memcpy(buffer.get(), data.data() + u * kUnit, kUnit);
+      cache.Insert(kFileId, u * kUnit,
+                   std::make_shared<const CachedBlock>(std::move(buffer),
+                                                       kUnit));
+    }
+    RecordingBackend recording(&mem);
+    CachingBackend caching(&recording, &cache);
+    IoStats stats;
+    IoOptions options;
+    options.read.io_unit_bytes = kUnit;
+    options.read.prefetch_depth = 4;
+    options.read.stats = &stats;
+    options.file_id = kFileId;
+    ASSERT_OK_AND_ASSIGN(auto stream, caching.OpenStream("f", options));
+    std::vector<uint8_t> bytes;
+    while (true) {
+      ASSERT_OK_AND_ASSIGN(IoView view, stream->Next());
+      if (view.size == 0) break;
+      EXPECT_EQ(view.file_offset, bytes.size());
+      bytes.insert(bytes.end(), view.data, view.data + view.size);
+    }
+    EXPECT_EQ(bytes, data);
+    EXPECT_EQ(stats.cache_hits + stats.cache_misses, kUnits);
+    EXPECT_EQ(stats.cache_hits, half_warm ? kUnits / 2 : 0u);
+    EXPECT_EQ(stats.files_opened, 1u);
+    uint64_t inner_bytes = 0;
+    for (const auto& [start, length] : recording.ranges) {
+      EXPECT_EQ(start % kUnit, 0u);
+      inner_bytes += length;
+    }
+    EXPECT_EQ(inner_bytes, stats.cache_misses * kUnit);
+    EXPECT_EQ(stats.bytes_read, stats.cache_misses * kUnit);
+  }
 }
 
 // ---------------------------------------------------------------------------

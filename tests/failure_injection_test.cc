@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -172,6 +173,37 @@ TEST_F(FailureInjectionTest, OversizedPageCountRejected) {
   f.close();
   auto rows = ScanRows("t_col", &backend_);
   EXPECT_TRUE(rows.status().IsCorruption());
+}
+
+TEST_F(FailureInjectionTest, CompressedRowPageCountOverflowIsCorruption) {
+  // One page of the compressed row table claims 0xFFFFFFFF tuples, and
+  // checksums are off (the default). Pruned and ranged scans never reach
+  // PageSource's end-of-file count check, so the page reader itself must
+  // refuse the count, or the scanner decodes ~4.29 billion tuples from
+  // past the payload. A whole-table scan and a key-range pruned scan
+  // over that page both fail with Corruption long before the deadline.
+  ASSERT_OK_AND_ASSIGN(OpenTable table, OpenTable::Open(dir_.path(), "t_row"));
+  ASSERT_TRUE(table.schema().is_compressed());
+  const uint64_t last_page = table.meta().file_pages[0] - 1;
+  Clobber(table.FilePath(0), last_page * table.meta().page_size, 4, 0xFF);
+  for (const bool pruned : {false, true}) {
+    SCOPED_TRACE(pruned ? "pruned" : "whole table");
+    ScanSpec spec;
+    spec.projection = {0, 1, 2};
+    spec.read.io_unit_bytes = 4096;
+    if (pruned) {
+      spec.predicates = {Predicate::Int32(0, CompareOp::kGe, 2500)};
+      ASSERT_TRUE(BuildPrunePlan(table, spec).active);
+    }
+    const QueryContext ctx =
+        QueryContext::WithTimeout(std::chrono::seconds(10));
+    ExecStats stats;
+    stats.set_context(&ctx);
+    ASSERT_OK_AND_ASSIGN(auto scan,
+                         OpenScanner(table, spec, &backend_, &stats));
+    auto result = Execute(scan.get(), &stats);
+    EXPECT_TRUE(result.status().IsCorruption()) << result.status().ToString();
+  }
 }
 
 TEST_F(FailureInjectionTest, TruncatedFileFailsEveryScanner) {

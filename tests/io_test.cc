@@ -1,15 +1,23 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cstdint>
+#include <cstring>
 #include <numeric>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
+
+#if defined(__SANITIZE_ADDRESS__)
+#include <sanitizer/asan_interface.h>
+#endif
 
 #include "common/file_util.h"
 #include "io/file_backend.h"
 #include "io/mem_backend.h"
+#include "io/unit_buffers.h"
 #include "test_util.h"
 
 namespace rodb {
@@ -215,6 +223,58 @@ TEST(FileBackendTest, OneUnitStreamFailsWhenFileShrinks) {
   EXPECT_EQ(stats.bytes_read, 0u);
   EXPECT_EQ(stats.requests, 0u);
   EXPECT_EQ(stats.files_opened, 1u);
+}
+
+TEST(UnitBuffersTest, ReleasedBufferIsHandedOutAgainForItsSize) {
+  constexpr size_t kSize = 12345;  // a size no other test uses
+  uint8_t* first = nullptr;
+  {
+    UnitBuffer buffer = AcquireUnitBuffer(kSize);
+    ASSERT_NE(buffer, nullptr);
+    first = buffer.get();
+    std::memset(first, 0x5a, kSize);
+  }
+#if defined(__SANITIZE_ADDRESS__)
+  // On the free list the bytes are poisoned: a use after release trips.
+  EXPECT_TRUE(__asan_address_is_poisoned(first));
+  EXPECT_TRUE(__asan_address_is_poisoned(first + kSize - 1));
+#endif
+  UnitBuffer other_size = AcquireUnitBuffer(kSize + 1);
+  EXPECT_NE(other_size.get(), first);
+  UnitBuffer again = AcquireUnitBuffer(kSize);
+  EXPECT_EQ(again.get(), first);
+  again[kSize - 1] = 1;  // writable end to end once handed out again
+  EXPECT_EQ(AcquireUnitBuffer(0), nullptr);
+}
+
+TEST(UnitBuffersTest, ConcurrentAcquireAndRelease) {
+  // 8 threads churn buffers of three sizes, each holding two at a time
+  // and stamping them with its own id: a buffer handed to two holders at
+  // once would show the other's stamp. Run under TSan too.
+  constexpr int kThreads = 8;
+  constexpr size_t kSizes[] = {4096, 8192, 128 * 1024};
+  std::atomic<int> torn{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([t, &kSizes, &torn] {
+      const uint8_t stamp = static_cast<uint8_t>(t + 1);
+      for (int i = 0; i < 500; ++i) {
+        const size_t a = kSizes[(i + t) % 3];
+        const size_t b = kSizes[(i + 2 * t + 1) % 3];
+        UnitBuffer x = AcquireUnitBuffer(a);
+        UnitBuffer y = AcquireUnitBuffer(b);
+        std::memset(x.get(), stamp, a);
+        std::memset(y.get(), stamp, b);
+        std::this_thread::yield();
+        if (x[0] != stamp || x[a - 1] != stamp || y[0] != stamp ||
+            y[b - 1] != stamp) {
+          torn.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(torn.load(), 0);
 }
 
 TEST(MemBackendTest, ServesRegisteredFiles) {

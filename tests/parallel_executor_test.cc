@@ -230,8 +230,55 @@ TEST_F(ParallelScanTest, ScanMatchesSerialAcrossLayoutsAndParallelism) {
           << rodb::testing::LayoutSuffix(layout) << " k=" << k;
       EXPECT_EQ(out.result.output_checksum, serial.output_checksum)
           << rodb::testing::LayoutSuffix(layout) << " k=" << k;
-      if (k == 1) EXPECT_EQ(out.morsels, 1);
-      if (k > 1) EXPECT_GT(out.morsels, 1);
+      if (k == 1) {
+        EXPECT_EQ(out.morsels, 1);
+      } else {
+        EXPECT_GT(out.morsels, 1);
+      }
+    }
+  }
+}
+
+TEST(ParallelOutputTest, WideTuplesSpanSeveralOutputChunks) {
+  // 150-byte tuples, 2.4 MB of output: every worker buffers its morsel in
+  // several unit-sized chunks, and the merge must chain them into exactly
+  // the serial scan's checksum.
+  auto schema = Schema::Make(
+      {AttributeDesc::Int32("key"), AttributeDesc::Text("pad", 146)});
+  ASSERT_OK(schema.status());
+  constexpr int kRows = 16000;
+  std::vector<std::vector<uint8_t>> tuples;
+  for (int i = 0; i < kRows; ++i) {
+    std::vector<uint8_t> t(150);
+    StoreLE32s(t.data(), i);
+    for (size_t b = 4; b < t.size(); ++b) {
+      t[b] = static_cast<uint8_t>('a' + (i * 7 + b) % 26);
+    }
+    tuples.push_back(std::move(t));
+  }
+  TempDir dir;
+  ASSERT_OK(rodb::testing::LoadLayouts(dir.path(), "wide", *schema, tuples,
+                                       {Layout::kRow, Layout::kColumn}));
+  FileBackend backend;
+  for (const Layout layout : {Layout::kRow, Layout::kColumn}) {
+    SCOPED_TRACE(rodb::testing::LayoutSuffix(layout));
+    ASSERT_OK_AND_ASSIGN(
+        OpenTable table,
+        OpenTable::Open(dir.path(),
+                        std::string("wide") +
+                            rodb::testing::LayoutSuffix(layout)));
+    ParallelScanPlan plan;
+    plan.table = &table;
+    plan.backend = &backend;
+    plan.spec.projection = {0, 1};
+    ASSERT_OK_AND_ASSIGN(ExecutionResult serial, SerialExecute(plan, nullptr));
+    ASSERT_EQ(serial.rows, static_cast<uint64_t>(kRows));
+    for (const int k : {2, 4}) {
+      ASSERT_OK_AND_ASSIGN(ParallelResult out, ParallelExecute(plan, k));
+      EXPECT_EQ(out.morsels, k);
+      EXPECT_EQ(out.result.rows, serial.rows) << "k=" << k;
+      EXPECT_EQ(out.result.output_checksum, serial.output_checksum)
+          << "k=" << k;
     }
   }
 }

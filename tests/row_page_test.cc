@@ -187,5 +187,36 @@ TEST(RowPageReaderTest, CorruptCountRejected) {
       RowPageReader::Open(view, &schema, nullptr).status().IsCorruption());
 }
 
+TEST(RowPageReaderTest, CompressedCountCheckedAgainstPayload) {
+  // A compressed page's count is bounded by its payload just like an
+  // uncompressed one's: otherwise a count of 0xFFFFFFFF (checksums off)
+  // decodes ~4.29 billion tuples from past the payload.
+  CompressedFixture fx;
+  RowPageBuilder builder(&fx.schema, fx.codec.get(), 256);
+  uint8_t tuple[8];
+  for (int i = 0; i < 1000; ++i) {
+    StoreLE32s(tuple, 100 + i);
+    StoreLE32s(tuple + 4, i % 50);
+    if (builder.Append(tuple) != AppendResult::kOk) break;
+  }
+  const uint32_t full = builder.capacity();
+  ASSERT_EQ(builder.count(), full);
+  ASSERT_OK(builder.Finish(0));
+  std::vector<uint8_t> page(builder.data(), builder.data() + 256);
+  for (const uint32_t count : {full, full + 1, 0xFFFFFFFFu}) {
+    SCOPED_TRACE(count);
+    StoreLE32(page.data(), count);
+    ASSERT_OK_AND_ASSIGN(PageView view, PageView::Parse(page.data(), 256));
+    const Status status =
+        RowPageReader::Open(view, &fx.schema, fx.codec.get()).status();
+    if (count == full) {
+      EXPECT_OK(status);
+    } else {
+      EXPECT_TRUE(status.IsCorruption()) << status.ToString();
+      EXPECT_EQ(status.message(), "row page count overflows payload");
+    }
+  }
+}
+
 }  // namespace
 }  // namespace rodb

@@ -34,7 +34,8 @@ FUZZ_ITERATIONS="${2:-200}"
 # acquisition and lease retirement (snapshot_consistency_test's
 # threaded schedules, ingest_fuzz_test's lifecycle sweeps). io_test
 # drives FileBackend's producer-thread ring over every range shape and
-# depth, and drops streams with the producer mid-flight.
+# depth, drops streams with the producer mid-flight, and churns the
+# unit-buffer free list from 8 threads.
 # crash_recovery_test stays off this list on purpose: it forks and
 # SIGKILLs children, which TSan's runtime can't follow; the ASan leg's
 # full ctest covers it, and server_test races the drain/stop paths
